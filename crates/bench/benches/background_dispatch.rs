@@ -1,12 +1,11 @@
 //! Benchmarks of whole rounds dominated by the background-event load —
 //! per-peer maintenance ticks, TTL sweeps, and gossip-push update waves,
 //! with queries off (`fQry = 0`) so the query pipeline contributes
-//! nothing. This is the traffic the whole-round lane refactor moved off
-//! the global queue: at `shards = 1` every event dispatches through the
-//! serial legacy path, at `shards = 8` each lane drains its own peers'
-//! events inside the parallel passes and only the six phase markers stay
-//! global. The shards axis is therefore the dispatch-path comparison
-//! (same population, same schedules), measured at 10k and 100k peers.
+//! nothing. Every event dispatches on a lane queue inside the lane passes
+//! and only the six phase markers stay global: at `shards = 1` one lane
+//! drains every peer's events, at `shards = 8` each lane drains its own
+//! peers'. The shards axis therefore compares one lane with eight (same
+//! population, same schedules), measured at 10k and 100k peers.
 //!
 //! Thread count is left at the criterion host's discretion via
 //! `set_threads`: the 1-thread rows isolate the lane bookkeeping overhead,

@@ -8,7 +8,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use pdht_bench::sched_delay as delay;
 use pdht_core::{BackgroundSchedule, PdhtConfig, PdhtNetwork, Strategy};
 use pdht_model::Scenario;
-use pdht_sim::{EventQueue, HeapEventQueue, RespawnPool, ShardPool, Slab};
+use pdht_sim::{EventQueue, HeapEventQueue, ShardPool, Slab};
 
 /// The scheduler hold model: a steady resident population of `inflight`
 /// events, each pop immediately replaced by a reschedule — the shape the
@@ -75,19 +75,6 @@ fn bench_scheduler(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(format!("wheel_hold_100000_8lanes_t{threads}"), |b| {
             let pool = ShardPool::new(threads);
-            let mut lanes = hold_lanes();
-            b.iter(|| {
-                pool.run(&mut lanes, |_, (q, i)| hold_cycle(q, i));
-                black_box(&lanes);
-            })
-        });
-        // The persistent-vs-respawn axis: the identical lane work driven by
-        // the pre-persistent executor, which spawns and joins `threads`
-        // scoped OS threads on every pass. The delta against the row above
-        // is pure executor overhead — at the engine's 6 passes per round,
-        // it is paid six times per simulated second.
-        group.bench_function(format!("respawn_hold_100000_8lanes_t{threads}"), |b| {
-            let pool = RespawnPool::new(threads);
             let mut lanes = hold_lanes();
             b.iter(|| {
                 pool.run(&mut lanes, |_, (q, i)| hold_cycle(q, i));

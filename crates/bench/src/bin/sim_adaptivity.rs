@@ -8,9 +8,10 @@
 //! coordination or reconfiguration.
 
 use pdht_bench::{
-    f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv, write_histograms_csv,
+    build_network, f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv,
+    write_histograms_csv,
 };
-use pdht_core::{PdhtConfig, PdhtNetwork, Strategy, TtlPolicy};
+use pdht_core::{PdhtConfig, Strategy, TtlPolicy};
 use pdht_model::Scenario;
 use pdht_zipf::{PopularityShift, RankMap};
 
@@ -51,7 +52,7 @@ fn main() {
     cfg.seed = 0xada_2004;
     args.apply_shards(&mut cfg);
 
-    let mut net = PdhtNetwork::new(cfg).expect("network builds");
+    let mut net = build_network(cfg);
     args.apply_threads(&mut net);
     net.run(total_rounds);
 

@@ -16,9 +16,10 @@
 //! `results/sim_gen_sweep.csv`.
 
 use pdht_bench::{
-    f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv, write_histograms_csv,
+    build_network, f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv,
+    write_histograms_csv,
 };
-use pdht_core::{GossipCodec, PdhtConfig, PdhtNetwork, SimReport, Strategy};
+use pdht_core::{GossipCodec, PdhtConfig, SimReport, Strategy};
 use pdht_model::Scenario;
 
 const GENERATIONS: [usize; 3] = [8, 16, 32];
@@ -53,7 +54,7 @@ fn main() {
         args.apply_shards(&mut cfg);
         cfg.gossip_codec = codec;
         cfg.gossip_generation = gen;
-        let mut net = PdhtNetwork::new(cfg).expect("network builds");
+        let mut net = build_network(cfg);
         args.apply_threads(&mut net);
         net.run(rounds);
         net.report(0, rounds - 1)

@@ -5,8 +5,8 @@
 //! virtual-time queue; the O(active-work) refactor finished the job with a
 //! timing-wheel scheduler (amortized O(1) per event), calendar-bucketed
 //! churn (O(transitions) per round) and allocation-free walk state; the
-//! shard-parallel refactor split the query phase across `--threads` worker
-//! threads (one shard per worker, deterministic outbox barriers). This bin
+//! engine runs each round on `--shards` lanes executed by `--threads`
+//! worker threads (deterministic outbox barriers). This bin
 //! is the scale proof: it builds a Table-1-shaped network with the
 //! population overridden (default 100 000 peers — the ROADMAP's ">100k-peer
 //! scenarios" line; `--peers 1000000` is the millionth-peer headline) under
@@ -21,14 +21,15 @@
 //! and uploaded as a CI artifact; every artifact is written *before* any
 //! performance assert can fire, so a perf regression still leaves the
 //! numbers on disk). CI runs `--peers 100000 --smoke` under a wall-clock
-//! budget across `--threads {1, 4}`, so scale regressions fail the build.
+//! budget at 1 and 4 threads (as many shards), so scale regressions fail
+//! the build.
 
 use pdht_bench::sched_delay;
 use pdht_bench::{
-    f1, f3, parse_sim_args, print_table, read_json_number, write_csv, write_histograms_csv,
-    write_json,
+    build_network, f1, f3, parse_sim_args, print_table, read_json_number, write_csv,
+    write_histograms_csv, write_json,
 };
-use pdht_core::{BackgroundSchedule, PdhtConfig, PdhtNetwork, PhaseBreakdown, Strategy, TtlPolicy};
+use pdht_core::{BackgroundSchedule, PdhtConfig, PhaseBreakdown, Strategy, TtlPolicy};
 use pdht_model::Scenario;
 use pdht_overlay::ChurnConfig;
 use pdht_sim::{EventQueue, HeapEventQueue};
@@ -80,7 +81,6 @@ macro_rules! sched_throughput {
 /// maintenance/TTL tick jittered to its own instant.
 fn scale_cfg(num_peers: u32, shards: u32) -> PdhtConfig {
     let scenario = Scenario { num_peers, ..Scenario::table1() };
-    scenario.validate().expect("valid scale scenario");
     let mut cfg = PdhtConfig::new(scenario, 1.0 / 600.0, Strategy::Partial);
     cfg.seed = 0x54_2004;
     cfg.ttl_policy = TtlPolicy::Fixed(200);
@@ -140,7 +140,7 @@ fn main() {
     cfg.gossip_generation = args.gen_size as usize;
 
     let t0 = Instant::now();
-    let mut net = PdhtNetwork::new(cfg).expect("network builds");
+    let mut net = build_network(cfg);
     args.apply_threads(&mut net);
     net.enable_phase_timers();
     let build_secs = t0.elapsed().as_secs_f64();
@@ -211,11 +211,8 @@ fn main() {
         ),
         _ => println!("no committed baseline found (first run on this checkout)"),
     }
-    // Per-phase wall clock of the timed run. On the legacy `shards = 1`
-    // path only the serial churn and content-update slices are
-    // instrumented (the query/background work dispatches through the
-    // untimed global queue), so the fraction is meaningful on sharded
-    // runs — the sweep below times every row at 8 shards.
+    // Per-phase wall clock of the timed run (every lane pass is timed at
+    // any shard count; the sweep below times every row at 8 shards).
     println!(
         "phase breakdown (ms/round): churn {churn_ms:.2}, queries {queries_ms:.2}, \
          background {background_ms:.2}, barriers {barriers_ms:.2} — serial fraction \
@@ -238,7 +235,7 @@ fn main() {
         cfg.latency = args.latency;
         cfg.gossip_codec = args.gossip_codec;
         cfg.gossip_generation = args.gen_size as usize;
-        let mut net = PdhtNetwork::new(cfg).expect("network builds");
+        let mut net = build_network(cfg);
         net.run(1);
     }
     let mut sweep: Vec<SweepPoint> = Vec::new();
@@ -253,7 +250,7 @@ fn main() {
         cfg.gossip_codec = args.gossip_codec;
         cfg.gossip_generation = args.gen_size as usize;
         let t0 = Instant::now();
-        let mut net = PdhtNetwork::new(cfg).expect("network builds");
+        let mut net = build_network(cfg);
         net.set_threads(threads as usize);
         net.enable_phase_timers();
         let build_secs = t0.elapsed().as_secs_f64();

@@ -13,10 +13,10 @@
 //! strategies and the adaptive index size must reproduce.
 
 use pdht_bench::{
-    f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv, write_histograms_csv,
-    SimArgs,
+    build_network, f1, f3, parse_sim_args, print_table, reject_peers_override, write_csv,
+    write_histograms_csv, SimArgs,
 };
-use pdht_core::{LatencyConfig, PdhtConfig, PdhtNetwork, SimReport, Strategy};
+use pdht_core::{LatencyConfig, PdhtConfig, SimReport, Strategy};
 use pdht_model::figures::freq_label;
 use pdht_model::{Scenario, SelectionModel, StrategyCosts};
 
@@ -43,7 +43,7 @@ fn run_strategy(
     cfg.overlay = args.overlay;
     cfg.latency = args.latency;
     args.apply_shards(&mut cfg);
-    let mut net = PdhtNetwork::new(cfg).expect("network builds");
+    let mut net = build_network(cfg);
     args.apply_threads(&mut net);
     net.run(rounds);
     let rep = net.report(warmup, rounds - 1);
@@ -240,7 +240,7 @@ fn main() {
         cfg.latency = args.latency;
         cfg.ttl_policy = pdht_core::TtlPolicy::Fixed(ttl);
         args.apply_shards(&mut cfg);
-        let mut net = PdhtNetwork::new(cfg).expect("network builds");
+        let mut net = build_network(cfg);
         args.apply_threads(&mut net);
         net.run(rounds);
         let rep = net.report(warmup, rounds - 1);

@@ -159,14 +159,11 @@ pub struct SimArgs {
     /// `--peers N`: override the scenario's total population (the S4 scale
     /// knob; `None` keeps each bin's default).
     pub peers: Option<u32>,
-    /// `--threads N`: worker threads for the shard-parallel query phase
-    /// (default 1 = the single-threaded legacy engine). A purely
-    /// *executor* knob: results never depend on it.
+    /// `--threads N`: worker threads executing the engine's lanes
+    /// (default 1). A purely *executor* knob: results never depend on it.
     pub threads: u32,
-    /// `--shards N`: the engine's shard count — the *semantic* knob
-    /// (`PdhtConfig::shards`). `None` (the default) follows `--threads`
-    /// for back-compat with the old coupled flag, with a warning once
-    /// that coupling starts changing semantics (threads > 1).
+    /// `--shards N`: the engine's shard (lane) count — the *semantic*
+    /// knob (`PdhtConfig::shards`). `None` means the default, 1.
     pub shards: Option<u32>,
     /// `--gossip-codec plain|chunked|rlnc|rlnc-sparse`: how update-gossip
     /// packets are encoded (`PdhtConfig::gossip_codec`; default plain, the
@@ -181,10 +178,10 @@ pub struct SimArgs {
 }
 
 impl SimArgs {
-    /// The effective shard count: `--shards` when given, else the
-    /// back-compat fallback to `--threads`.
+    /// The effective shard count: `--shards` when given, else 1 (the
+    /// thread count never changes what a run computes).
     pub fn effective_shards(&self) -> u32 {
-        self.shards.unwrap_or_else(|| self.threads.max(1))
+        self.shards.unwrap_or(1)
     }
 
     /// Applies the semantic knobs to a configuration (shard count and
@@ -231,25 +228,36 @@ pub fn parse_gossip_codec(spec: &str) -> Result<pdht_core::GossipCodec, String> 
     }
 }
 
+/// Prints `msg` and the shared simulation usage line to stderr and exits
+/// with code 2 — the one exit path for rejected flags and rejected
+/// configurations. Partial output already printed by the bin is flushed
+/// first, so it is never lost (`process::exit` skips the stdout
+/// destructor).
+pub fn usage_exit(msg: &str) -> ! {
+    let _ = std::io::stdout().flush();
+    eprintln!("error: {msg}");
+    eprintln!(
+        "usage: [--overlay trie|chord|kademlia] \
+         [--latency zero|uniform:LO_MS,HI_MS|lognormal:MEDIAN_MS,SIGMA] \
+         [--peers N] [--threads N] [--shards N] \
+         [--gossip-codec plain|chunked|rlnc|rlnc-sparse] [--gen-size G] [--smoke]"
+    );
+    let _ = std::io::stderr().flush();
+    std::process::exit(2);
+}
+
+/// Builds a bin's network, exiting through [`usage_exit`] when the
+/// configuration is rejected (for example `--peers` below the scenario's
+/// replication factor).
+pub fn build_network(cfg: pdht_core::PdhtConfig) -> pdht_core::PdhtNetwork {
+    pdht_core::PdhtNetwork::new(cfg)
+        .unwrap_or_else(|e| usage_exit(&format!("invalid configuration: {e}")))
+}
+
 /// Parses the shared simulation flags from `std::env::args`, exiting with a
-/// usage message on anything unrecognized. Partial output already printed
-/// by the bin is flushed before the error exit, so it is never lost.
+/// usage message on anything unrecognized.
 pub fn parse_sim_args() -> SimArgs {
     use pdht_core::{GossipCodec, LatencyConfig, OverlayKind};
-    let usage = |msg: &str| -> ! {
-        // Flush whatever the bin printed before the bad flag was hit —
-        // `process::exit` skips the stdout destructor.
-        let _ = std::io::stdout().flush();
-        eprintln!("error: {msg}");
-        eprintln!(
-            "usage: [--overlay trie|chord|kademlia] \
-             [--latency zero|uniform:LO_MS,HI_MS|lognormal:MEDIAN_MS,SIGMA] \
-             [--peers N] [--threads N] [--shards N] \
-             [--gossip-codec plain|chunked|rlnc|rlnc-sparse] [--gen-size G] [--smoke]"
-        );
-        let _ = std::io::stderr().flush();
-        std::process::exit(2);
-    };
     let mut args = SimArgs {
         overlay: OverlayKind::Trie,
         latency: LatencyConfig::Zero,
@@ -264,57 +272,48 @@ pub fn parse_sim_args() -> SimArgs {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--overlay" => {
-                let v = it.next().unwrap_or_else(|| usage("--overlay needs a value"));
+                let v = it.next().unwrap_or_else(|| usage_exit("--overlay needs a value"));
                 args.overlay = match v.as_str() {
                     "trie" => OverlayKind::Trie,
                     "chord" => OverlayKind::Chord,
                     "kademlia" => OverlayKind::Kademlia,
-                    other => usage(&format!("unknown overlay {other:?}")),
+                    other => usage_exit(&format!("unknown overlay {other:?}")),
                 };
             }
             "--latency" => {
-                let v = it.next().unwrap_or_else(|| usage("--latency needs a value"));
-                args.latency = parse_latency(&v).unwrap_or_else(|e| usage(&e));
+                let v = it.next().unwrap_or_else(|| usage_exit("--latency needs a value"));
+                args.latency = parse_latency(&v).unwrap_or_else(|e| usage_exit(&e));
             }
             "--peers" => {
-                let v = it.next().unwrap_or_else(|| usage("--peers needs a value"));
+                let v = it.next().unwrap_or_else(|| usage_exit("--peers needs a value"));
                 args.peers = Some(
-                    parse_count_flag("--peers", &v, 2, u32::MAX).unwrap_or_else(|e| usage(&e)),
+                    parse_count_flag("--peers", &v, 2, u32::MAX).unwrap_or_else(|e| usage_exit(&e)),
                 );
             }
             "--threads" => {
-                let v = it.next().unwrap_or_else(|| usage("--threads needs a value"));
+                let v = it.next().unwrap_or_else(|| usage_exit("--threads needs a value"));
                 args.threads =
-                    parse_count_flag("--threads", &v, 1, 256).unwrap_or_else(|e| usage(&e));
+                    parse_count_flag("--threads", &v, 1, 256).unwrap_or_else(|e| usage_exit(&e));
             }
             "--shards" => {
-                let v = it.next().unwrap_or_else(|| usage("--shards needs a value"));
-                args.shards =
-                    Some(parse_count_flag("--shards", &v, 1, 256).unwrap_or_else(|e| usage(&e)));
+                let v = it.next().unwrap_or_else(|| usage_exit("--shards needs a value"));
+                args.shards = Some(
+                    parse_count_flag("--shards", &v, 1, 256).unwrap_or_else(|e| usage_exit(&e)),
+                );
             }
             "--gossip-codec" => {
-                let v = it.next().unwrap_or_else(|| usage("--gossip-codec needs a value"));
-                args.gossip_codec = parse_gossip_codec(&v).unwrap_or_else(|e| usage(&e));
+                let v = it.next().unwrap_or_else(|| usage_exit("--gossip-codec needs a value"));
+                args.gossip_codec = parse_gossip_codec(&v).unwrap_or_else(|e| usage_exit(&e));
             }
             "--gen-size" => {
-                let v = it.next().unwrap_or_else(|| usage("--gen-size needs a value"));
+                let v = it.next().unwrap_or_else(|| usage_exit("--gen-size needs a value"));
                 args.gen_size =
                     parse_count_flag("--gen-size", &v, 1, pdht_gossip::MAX_GENERATION as u32)
-                        .unwrap_or_else(|e| usage(&e));
+                        .unwrap_or_else(|e| usage_exit(&e));
             }
             "--smoke" => args.smoke = true,
-            other => usage(&format!("unknown flag {other:?}")),
+            other => usage_exit(&format!("unknown flag {other:?}")),
         }
-    }
-    if args.shards.is_none() && args.threads > 1 {
-        // The historical flag coupled executor and semantics; keep that
-        // default but say so, since shard count changes results.
-        eprintln!(
-            "note: --shards not given; following --threads ({}) for back-compat. \
-             Shard count is a semantic knob (results depend on it) — pass \
-             --shards to pin it independently of the worker count.",
-            args.threads
-        );
     }
     args
 }
@@ -600,7 +599,7 @@ mod flag_spec_tests {
     }
 
     #[test]
-    fn default_shards_follow_threads_explicit_shards_win() {
+    fn default_shards_is_one_explicit_shards_win() {
         use super::SimArgs;
         use pdht_core::{LatencyConfig, OverlayKind, PdhtConfig, Strategy};
         let mut args = SimArgs {
@@ -613,7 +612,7 @@ mod flag_spec_tests {
             gen_size: 32,
             smoke: true,
         };
-        assert_eq!(args.effective_shards(), 4, "back-compat: follow --threads");
+        assert_eq!(args.effective_shards(), 1, "--threads never sets the shard count");
         args.shards = Some(8);
         assert_eq!(args.effective_shards(), 8, "--shards decouples semantics");
         let mut cfg =

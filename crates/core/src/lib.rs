@@ -9,10 +9,11 @@
 //!   values for sensitivity scans, and an adaptive controller (the paper's
 //!   stated future work),
 //! * [`network`] — the full-network simulation engine: an event-driven
-//!   round orchestrator ([`network::engine`]) over per-peer index state
-//!   ([`network::peer`]), query execution ([`network::routing`]) and
-//!   background maintenance ([`network::maintenance`]), combining a
-//!   configurable structured overlay (trie or Chord, chosen via
+//!   round orchestrator ([`network::engine`]) driving execution lanes
+//!   ([`network::shard`]) over per-peer index state ([`network::peer`]),
+//!   query execution ([`network::routing`]) and background maintenance
+//!   ([`network::maintenance`]), combining a configurable structured
+//!   overlay (trie, Chord or Kademlia, chosen via
 //!   [`PdhtConfig::overlay`]), the unstructured overlay, replica gossip,
 //!   churn and the Zipf workload; this is the apparatus behind the
 //!   simulation experiments (S2/S3 in the repository's `DESIGN.md`).

@@ -1,38 +1,32 @@
 //! Round orchestration over a message-granular event queue.
 //!
 //! [`PdhtNetwork::step_round`] does not run phases inline: it schedules one
-//! [`RoundPhase`] event per phase on a [`pdht_sim::EventQueue`] at staggered
-//! sub-round instants, then drains the queue in virtual-time order and
-//! dispatches each event to its handler in [`super::maintenance`] /
-//! [`super::routing`]. The queue's total pop order (ties break by insertion)
-//! keeps runs bit-for-bit reproducible.
+//! [`RoundPhase`] marker per phase on a global [`pdht_sim::EventQueue`] at
+//! staggered sub-round instants, then pops the markers in virtual-time
+//! order. Each marker runs its phase's serial work and then a lane pass
+//! ([`super::shard`]) that drains every lane's own queue of [`NetEvent`]s —
+//! per-peer background ticks and in-flight messages — up to the next
+//! marker. Queue pop order (ties break by insertion) keeps runs bit-for-bit
+//! reproducible.
 //!
-//! Since the message-level refactor the queue carries [`NetEvent`]s, not
-//! bare phases: the query pipeline in [`super::routing`] runs as a state
-//! machine over in-flight queries, scheduling one [`NetEvent::MessageArrival`]
-//! per forwarded message (or parallel message wave) with a delay drawn from
+//! The query pipeline in [`super::routing`] runs as a state machine over
+//! in-flight queries, scheduling one [`NetEvent::MessageArrival`] per
+//! forwarded message (or parallel message wave) with a delay drawn from
 //! the configured [`crate::LatencyConfig`]. Zero-delay steps are executed
-//! inline in issue order — which is exactly the old synchronous semantics,
-//! so a [`crate::LatencyConfig::Zero`] run reproduces the phase-granular
+//! inline in issue order — the old synchronous semantics, so a
+//! [`crate::LatencyConfig::Zero`] run reproduces the phase-granular
 //! engine's accounting bit-for-bit. Non-zero delays let queries interleave,
 //! cross round boundaries, and race churn, and populate the per-query
 //! latency histograms surfaced in [`SimReport`].
 
-use crate::admission::AdmissionFilter;
 use crate::config::{OverlayKind, PdhtConfig, Strategy};
-use crate::network::maintenance::UpdateCtx;
 use crate::network::peer::PeerStores;
-use crate::network::routing::QueryCtx;
-use crate::network::shard::{LaneMsg, ShardedState};
+use crate::network::shard::{lane_stream, ShardedState};
 use crate::ttl::{model_key_ttl, AdaptiveTtl, Ttl, TtlPolicy};
-use pdht_gossip::{ReplicaGroup, VersionedValue, WavePool};
+use pdht_gossip::{ReplicaGroup, VersionedValue};
 use pdht_model::{CostModel, SelectionModel};
-use pdht_overlay::{
-    ChordOverlay, ChurnModel, KademliaOverlay, Overlay, PlanScratch, Repair, TrieOverlay,
-};
-use pdht_sim::{
-    EventQueue, HistogramSummary, LatencyModel, Metrics, Outbox, RoundDriver, Slab, VisitSet,
-};
+use pdht_overlay::{ChordOverlay, ChurnModel, KademliaOverlay, Overlay, TrieOverlay};
+use pdht_sim::{EventQueue, HistogramSummary, LatencyModel, Metrics, RoundDriver};
 use pdht_types::{Key, MessageKind, PeerId, Result, RngStreams, Round, SimTime};
 use pdht_unstructured::{Replication, Topology};
 use pdht_workload::{QueryWorkload, UpdateProcess};
@@ -46,11 +40,10 @@ pub type QueryId = u64;
 /// Identifier of an in-flight update propagation (same slab-key scheme).
 pub type UpdateId = u64;
 
-/// An event on the engine's virtual-time queue.
+/// An event on a lane's virtual-time queue (the engine's global queue
+/// holds only [`RoundPhase`] markers).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetEvent {
-    /// A round phase comes due.
-    Phase(RoundPhase),
     /// A message of an in-flight query lands at its destination: advance
     /// that query's state machine by one step.
     MessageArrival {
@@ -66,7 +59,7 @@ pub enum NetEvent {
         query: QueryId,
     },
     /// A peer's routing-table maintenance tick comes due: one
-    /// [`pdht_overlay::Overlay::maintenance_step`], then the event
+    /// [`pdht_overlay::Overlay::maintenance_plan`], then the event
     /// reschedules itself one round later (each active peer carries its own
     /// perpetual tick at a fixed, optionally jittered, sub-round offset).
     PeerMaintenance {
@@ -91,7 +84,12 @@ pub enum NetEvent {
 }
 
 /// Where in the event stream an [`EventHook`] observation fires.
+///
+/// Only phase boundaries are observable: message events live on lane
+/// queues drained inside parallel passes, where a shared `!Send` hook
+/// cannot run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[non_exhaustive]
 pub enum HookPoint {
     /// A round phase is about to dispatch — the seam for injecting faults
     /// at precise instants (e.g. a blackout between `Churn` and `Queries`).
@@ -100,18 +98,6 @@ pub enum HookPoint {
         round: u64,
         /// The phase about to run.
         phase: RoundPhase,
-    },
-    /// A message-level event (arrival or timeout) is about to dispatch.
-    ///
-    /// Only fired on the single-shard path: with `cfg.shards > 1` message
-    /// events live on per-shard lane queues drained inside the parallel
-    /// query phase, where a shared mutable hook cannot run. Phase
-    /// boundaries keep firing at any shard count.
-    BeforeMessage {
-        /// The round the event fires in.
-        round: u64,
-        /// The in-flight query it belongs to.
-        query: QueryId,
     },
 }
 
@@ -126,8 +112,8 @@ pub enum HookAction {
     },
 }
 
-/// An experiment hook observing event boundaries; returned actions are
-/// applied before the event dispatches.
+/// An experiment hook observing phase boundaries; returned actions are
+/// applied before the phase dispatches.
 pub type EventHook = Box<dyn FnMut(HookPoint) -> Vec<HookAction>>;
 
 /// One phase of a simulated round, scheduled on the engine's event queue.
@@ -171,8 +157,12 @@ const PHASES: [RoundPhase; 6] = [
 pub(crate) const PHASE_SPACING_US: u64 = 10;
 
 /// Offset (µs past the round start) of the [`RoundPhase::Queries`] instant —
-/// the sharded query phase issues its merged batches at exactly this time.
+/// the query phase issues its merged batches at exactly this time.
 pub(crate) const QUERIES_OFFSET_US: u64 = 4 * PHASE_SPACING_US;
+
+/// Offset (µs past the round start) of the [`RoundPhase::Bookkeeping`]
+/// instant.
+const BOOKKEEPING_OFFSET_US: u64 = 5 * PHASE_SPACING_US;
 
 /// Base offset (µs past the round start) of every
 /// [`NetEvent::PeerMaintenance`] event: one tick after the
@@ -218,65 +208,36 @@ pub struct PdhtNetwork {
     pub(crate) updates: UpdateProcess,
     pub(crate) workload: QueryWorkload,
     pub(crate) adaptive: Option<AdaptiveTtl>,
-    pub(crate) admission: AdmissionFilter,
     /// Current keyTtl in rounds (fixed policies keep it constant).
     pub(crate) ttl_rounds: u64,
     /// Per-entry probe rate calibrated to `env·log2(nap)` per peer.
     pub(crate) probe_rate: f64,
     pub(crate) metrics: Metrics,
     pub(crate) driver: RoundDriver,
-    /// Virtual-time queue sequencing phases, per-peer background events,
-    /// and in-flight query/update messages.
-    pub(crate) events: EventQueue<NetEvent>,
-    /// In-flight queries, keyed by [`QueryId`] (generational slab — parking
-    /// and resuming a context is allocation-free). Empty whenever every hop
-    /// delay is zero (steps run inline).
-    pub(crate) inflight: Slab<QueryCtx>,
-    /// In-flight update propagations, keyed by [`UpdateId`]. Empty under
-    /// zero latency for the same reason.
-    pub(crate) updates_inflight: Slab<UpdateCtx>,
+    /// Virtual-time queue of the six per-round phase markers. Background
+    /// events and in-flight messages live on the lane queues.
+    pub(crate) events: EventQueue<RoundPhase>,
     /// Per-hop delay model built from [`PdhtConfig::latency`].
     pub(crate) latency: Box<dyn LatencyModel>,
-    /// Generation-stamped visited scratch shared by every random walk, so
-    /// starting a broadcast search is O(walkers) instead of allocating an
-    /// O(num_peers) map per query.
-    pub(crate) walk_scratch: VisitSet,
-    /// Recyclable flood/rumor wave scratch for the legacy lane (sharded
-    /// engines give each lane its own pool).
-    pub(crate) wave_pool: WavePool,
-    /// Experiment hook observing phase/message boundaries.
+    /// Experiment hook observing phase boundaries.
     pub(crate) hook: Option<EventHook>,
-    /// Events popped off the queue over the whole run (the O(active-work)
-    /// regression gauge: per-round deltas must track transitions/queries/
-    /// background events, not the total population).
+    /// Events popped off the global and lane queues over the whole run
+    /// (the O(active-work) regression gauge: per-round deltas must track
+    /// transitions/queries/background events, not the total population).
     pub(crate) events_dispatched: u64,
-    // Component RNG streams.
-    pub(crate) rng_churn: SmallRng,
-    pub(crate) rng_workload: SmallRng,
-    pub(crate) rng_overlay: SmallRng,
-    pub(crate) rng_search: SmallRng,
+    /// Content-replacement stream (drawn serially in the update phase).
     pub(crate) rng_updates: SmallRng,
-    pub(crate) rng_latency: SmallRng,
     /// Cumulative outcome counters (lane counters merge in here at the
-    /// sharded query barrier).
+    /// bookkeeping barrier).
     pub(crate) counters: Counters,
     /// `(hits, misses)` already flushed to the adaptive-TTL controller —
     /// the bookkeeping phase feeds it the delta since the previous round.
     pub(crate) adaptive_seen: (u64, u64),
-    /// Shard-parallel execution state, present iff `cfg.shards > 1`.
-    /// `None` keeps the single-threaded legacy path bit-for-bit intact.
-    pub(crate) sharded: Option<ShardedState>,
+    /// The execution lanes (one per shard; `shards = 1` is one lane).
+    pub(crate) sharded: ShardedState,
     /// Reusable churn-transition buffer (steady-state churn allocates
     /// nothing).
     pub(crate) churn_buf: Vec<(PeerId, bool)>,
-    /// Legacy-lane outbox backing [`PdhtNetwork::query_exec`]. Never
-    /// written: the legacy world's empty `group_shard` disables handoffs.
-    pub(crate) lane_outbox: Outbox<LaneMsg>,
-    /// Legacy-lane repair queue (unused: legacy maintenance mutates the
-    /// overlay directly via `maintenance_step`).
-    pub(crate) lane_repairs: Vec<Repair>,
-    /// Legacy-lane maintenance-plan scratch (unused on the legacy path).
-    pub(crate) plan_scratch: PlanScratch,
     /// Opt-in per-phase wall-clock accounting (the scale bench's
     /// serial-fraction probe); `None` keeps clock reads off the hot paths.
     pub(crate) phase_timers: Option<PhaseBreakdown>,
@@ -285,9 +246,8 @@ pub struct PdhtNetwork {
 /// Opt-in wall-clock breakdown of round execution, split into the buckets
 /// that matter for shard scaling: parallel pool time (queries,
 /// background-event drains) versus serial sections (churn, barriers).
-/// Enabled via [`PdhtNetwork::enable_phase_timers`]; most meaningful on
-/// sharded engines, where the serial fraction bounds the achievable
-/// speedup.
+/// Enabled via [`PdhtNetwork::enable_phase_timers`]; on sharded engines
+/// the serial fraction bounds the achievable speedup.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseBreakdown {
     /// Serial churn phase (session transitions + rejoin pulls).
@@ -506,44 +466,25 @@ impl PdhtNetwork {
             }
             _ => s.stor as usize,
         };
-        // Shard-parallel state: `cfg.shards` is a semantic knob (shards = 1
-        // is the bit-exact single-threaded engine), capped by the
+        // Lane state: `cfg.shards` is a semantic knob, capped by the
         // population so every shard owns at least one peer.
-        let s_eff = if cfg.shards <= 1 { 1 } else { (cfg.shards as usize).min(num_peers.max(1)) };
-        let sharded = if s_eff > 1 {
-            Some(ShardedState::new(s_eff, s.num_peers, overlay.as_deref(), &streams, cfg.admission))
-        } else {
-            None
-        };
-
-        let mut peers = match (&sharded, &overlay) {
-            (Some(st), Some(o)) => {
-                // Store shard = the shard of the key's replica group, so
-                // every store mutation a query performs is local to the
-                // shard executing it.
-                let assign: Vec<u16> = (0..nap)
-                    .map(|p| st.group_shard[o.group_of_peer(PeerId::from_idx(p))])
-                    .collect();
-                PeerStores::new_sharded(&assign, s_eff, store_capacity, num_keys)
-            }
-            (Some(_), None) => PeerStores::new_sharded(&[], s_eff, store_capacity, num_keys),
-            (None, _) => PeerStores::new(nap, store_capacity, num_keys),
-        };
+        let s_eff = (cfg.shards.max(1) as usize).min(num_peers.max(1));
+        let sharded =
+            ShardedState::new(s_eff, s.num_peers, overlay.as_deref(), &streams, cfg.admission);
+        let assign: Vec<u16> =
+            (0..nap).map(|p| sharded.store_shard(overlay.as_deref(), p)).collect();
+        let mut peers = PeerStores::new_sharded(&assign, s_eff, store_capacity, num_keys);
 
         // Unstructured side.
         let topo = Topology::random(num_peers, cfg.mean_degree, &mut rng_build)?;
         let content = Replication::place(num_articles, s.repl as usize, num_peers, &mut rng_build)?;
 
-        // Processes. Sharded engines give each churn shard its own RNG
-        // stream (`("churn", s)`), so shard calendars evolve independently
-        // of each other and of the single-stream legacy draw.
-        let churn = if let Some(st) = &sharded {
-            let mut init: Vec<SmallRng> =
-                (0..s_eff).map(|i| streams.indexed_stream("churn", i as u64)).collect();
-            ChurnModel::new_sharded(num_peers, cfg.churn, st.peer_shard.clone(), &mut init)
-        } else {
-            ChurnModel::new(num_peers, cfg.churn, &mut streams.stream("churn"))
-        };
+        // Processes. Each churn shard draws from its own stream, so shard
+        // calendars evolve independently of each other.
+        let mut init: Vec<SmallRng> =
+            (0..s_eff).map(|i| lane_stream(&streams, "churn", i, s_eff)).collect();
+        let churn =
+            ChurnModel::new_sharded(num_peers, cfg.churn, sharded.peer_shard.clone(), &mut init);
         let updates = UpdateProcess::new(num_articles, 1.0 / s.f_upd.max(1e-12))?;
         let workload =
             QueryWorkload::new(num_keys, s.alpha, s.num_peers, cfg.f_qry, cfg.shift.clone())?;
@@ -589,15 +530,9 @@ impl PdhtNetwork {
             }
         }
 
-        let cfg_admission = cfg.admission;
         let latency = cfg.latency.build();
         let mut net = PdhtNetwork {
-            rng_churn: streams.stream("churn-run"),
-            rng_workload: streams.stream("workload"),
-            rng_overlay: streams.stream("overlay"),
-            rng_search: streams.stream("search"),
             rng_updates: streams.stream("updates"),
-            rng_latency: streams.stream("latency"),
             latency,
             cfg,
             keys,
@@ -613,25 +548,17 @@ impl PdhtNetwork {
             updates,
             workload,
             adaptive,
-            admission: AdmissionFilter::new(cfg_admission),
             ttl_rounds,
             probe_rate,
             metrics: Metrics::new(),
             driver: RoundDriver::new(),
             events: EventQueue::new(),
-            inflight: Slab::with_capacity(64),
-            updates_inflight: Slab::with_capacity(16),
-            walk_scratch: VisitSet::new(num_peers),
-            wave_pool: WavePool::new(),
             hook: None,
             events_dispatched: 0,
             counters: Counters::default(),
             adaptive_seen: (0, 0),
             sharded,
             churn_buf: Vec::new(),
-            lane_outbox: Outbox::new(0),
-            lane_repairs: Vec::new(),
-            plan_scratch: PlanScratch::new(),
             phase_timers: None,
         };
         net.schedule_background();
@@ -643,75 +570,32 @@ impl PdhtNetwork {
     /// only) one [`NetEvent::TtlSweep`] per active peer per `purge_stride`
     /// rounds, staggered so cohort `p % stride` sweeps in round
     /// `r ≡ p (mod stride)` — the same stagger the phase sweep used. Each
-    /// event reschedules itself, so the queue carries a steady `O(nap)`
+    /// event reschedules itself, so the lanes carry a steady `O(nap)`
     /// background population instead of the engine sweeping all peers
     /// inside a phase handler.
     ///
     /// Offsets: with zero jitter (the default), every maintenance event
-    /// fires at its round's `OverlayMaintenance` instant and every sweep at
-    /// the `PurgeExpired` instant, in ascending peer order — which makes
-    /// the event-driven path consume the component RNG streams in exactly
-    /// the order the phase sweeps did, keeping `LatencyConfig::Zero`
-    /// accounting bit-for-bit identical. Non-zero jitter gives each peer a
-    /// fixed hashed offset inside its round.
+    /// fires at its round's `OverlayMaintenance` instant + 1 µs and every
+    /// sweep at the `PurgeExpired` instant + 1 µs, in ascending peer order
+    /// — the order the phase sweeps consumed the component RNG streams in,
+    /// keeping `LatencyConfig::Zero` accounting bit-for-bit identical.
+    /// Non-zero jitter gives each peer a fixed hashed offset inside its
+    /// round.
     ///
-    /// Sharded engines seed each event into its owning *lane's* queue
-    /// instead of the global one — maintenance ticks at the peer's origin
-    /// shard (they touch only the shared tables and the lane's streams),
-    /// TTL sweeps at the shard owning the peer's store (its replica
-    /// group's shard), so every dispatch is lane-local. The global queue
-    /// then carries nothing but the six phase markers.
+    /// Each event lives on its owning lane's queue: maintenance ticks at
+    /// the peer's origin shard (they touch only the shared tables and the
+    /// lane's streams), TTL sweeps at the shard owning the peer's store,
+    /// so every dispatch is lane-local.
     fn schedule_background(&mut self) {
         let jitter = self.cfg.background;
-        if let Some(st) = &mut self.sharded {
-            if self.overlay.is_some() {
-                for p in 0..self.nap {
-                    let offset = MAINTENANCE_OFFSET_US
-                        + peer_jitter_us(
-                            self.cfg.seed,
-                            0xA11C_E000 + p as u64,
-                            jitter.maintenance_jitter_us,
-                        );
-                    let lane = usize::from(st.peer_shard[p]);
-                    st.lanes[lane].events.schedule_at(
-                        Round(0).start() + SimTime::from_micros(offset),
-                        NetEvent::PeerMaintenance { peer: PeerId::from_idx(p) },
-                    );
-                }
-            }
-            if self.cfg.strategy == Strategy::Partial {
-                let stride = self.cfg.purge_stride;
-                for p in 0..self.nap {
-                    let first = Round(p as u64 % stride);
-                    let offset = TTL_SWEEP_OFFSET_US
-                        + peer_jitter_us(
-                            self.cfg.seed,
-                            0x77E0_0000 + p as u64,
-                            jitter.ttl_jitter_us,
-                        );
-                    let lane = match self.overlay.as_deref() {
-                        Some(o) => {
-                            usize::from(st.group_shard[o.group_of_peer(PeerId::from_idx(p))])
-                        }
-                        None => usize::from(st.peer_shard[p]),
-                    };
-                    st.lanes[lane].events.schedule_at(
-                        first.start() + SimTime::from_micros(offset),
-                        NetEvent::TtlSweep { peer: PeerId::from_idx(p) },
-                    );
-                }
-            }
-            return;
-        }
+        let seed = self.cfg.seed;
+        let st = &mut self.sharded;
         if self.overlay.is_some() {
             for p in 0..self.nap {
                 let offset = MAINTENANCE_OFFSET_US
-                    + peer_jitter_us(
-                        self.cfg.seed,
-                        0xA11C_E000 + p as u64,
-                        jitter.maintenance_jitter_us,
-                    );
-                self.events.schedule_at(
+                    + peer_jitter_us(seed, 0xA11C_E000 + p as u64, jitter.maintenance_jitter_us);
+                let lane = usize::from(st.peer_shard[p]);
+                st.lanes[lane].events.schedule_at(
                     Round(0).start() + SimTime::from_micros(offset),
                     NetEvent::PeerMaintenance { peer: PeerId::from_idx(p) },
                 );
@@ -722,8 +606,9 @@ impl PdhtNetwork {
             for p in 0..self.nap {
                 let first = Round(p as u64 % stride);
                 let offset = TTL_SWEEP_OFFSET_US
-                    + peer_jitter_us(self.cfg.seed, 0x77E0_0000 + p as u64, jitter.ttl_jitter_us);
-                self.events.schedule_at(
+                    + peer_jitter_us(seed, 0x77E0_0000 + p as u64, jitter.ttl_jitter_us);
+                let lane = usize::from(st.store_shard(self.overlay.as_deref(), p));
+                st.lanes[lane].events.schedule_at(
                     first.start() + SimTime::from_micros(offset),
                     NetEvent::TtlSweep { peer: PeerId::from_idx(p) },
                 );
@@ -762,14 +647,15 @@ impl PdhtNetwork {
     }
 
     /// Failure injection: knocks a uniform `fraction` of all peers offline
-    /// at once; they rejoin through the configured churn process.
+    /// at once; they rejoin through the configured churn process. Draws on
+    /// churn shard 0's stream (at `shards = 1`, the one churn steps use).
     pub fn force_blackout(&mut self, fraction: f64) {
-        self.churn.force_blackout(fraction, &mut self.rng_churn);
+        self.churn.force_blackout(fraction, &mut self.sharded.churn_rngs[0]);
     }
 
-    /// Installs an [`EventHook`] observing every phase and message boundary;
-    /// actions it returns are applied before the event dispatches. Replaces
-    /// any previous hook.
+    /// Installs an [`EventHook`] observing every phase boundary; actions it
+    /// returns are applied before the phase dispatches. Replaces any
+    /// previous hook.
     pub fn set_event_hook(&mut self, hook: EventHook) {
         self.hook = Some(hook);
     }
@@ -781,40 +667,31 @@ impl PdhtNetwork {
 
     /// Queries currently in flight (always 0 when every hop delay is zero).
     pub fn queries_in_flight(&self) -> usize {
-        let lanes: usize =
-            self.sharded.as_ref().map_or(0, |st| st.lanes.iter().map(|l| l.inflight.len()).sum());
-        self.inflight.len() + lanes
+        self.sharded.lanes.iter().map(|l| l.inflight.len()).sum()
     }
 
-    /// Number of execution shards (1 = the single-threaded legacy engine).
+    /// Number of execution shards (lanes).
     pub fn shards(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |st| st.shards)
+        self.sharded.lanes.len()
     }
 
-    /// Sets how many OS threads execute the sharded query phase. Purely an
+    /// Sets how many OS threads execute the lane passes. Purely an
     /// executor knob: simulation results depend only on
     /// [`PdhtConfig::shards`], never on the thread count, so any value
-    /// yields bit-identical output. No-op on unsharded engines.
+    /// yields bit-identical output.
     pub fn set_threads(&mut self, threads: usize) {
-        if let Some(st) = &mut self.sharded {
-            st.pool.set_threads(threads);
-        }
+        self.sharded.pool.set_threads(threads);
     }
 
-    /// The configured worker-thread count (1 on unsharded engines).
+    /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
-        self.sharded.as_ref().map_or(1, |st| st.pool.threads())
+        self.sharded.pool.threads()
     }
 
     /// Update propagations currently in flight (always 0 when every hop
-    /// delay is zero). Counts the engine slab plus every lane slab, like
-    /// [`PdhtNetwork::queries_in_flight`].
+    /// delay is zero), summed over the lanes.
     pub fn updates_in_flight(&self) -> usize {
-        let lanes: usize = self
-            .sharded
-            .as_ref()
-            .map_or(0, |st| st.lanes.iter().map(|l| l.updates_inflight.len()).sum());
-        self.updates_inflight.len() + lanes
+        self.sharded.lanes.iter().map(|l| l.updates_inflight.len()).sum()
     }
 
     /// Starts collecting the per-phase wall-clock breakdown (a scale-bench
@@ -843,15 +720,11 @@ impl PdhtNetwork {
     /// concurrent waves) while `acquires` grows with every flood/rumor.
     #[doc(hidden)]
     pub fn wave_pool_stats(&self) -> (usize, u64) {
-        let mut slots = self.wave_pool.slots();
-        let mut acquires = self.wave_pool.acquires();
-        if let Some(sharded) = &self.sharded {
-            for lane in &sharded.lanes {
-                slots += lane.waves.slots();
-                acquires += lane.waves.acquires();
-            }
-        }
-        (slots, acquires)
+        let lanes = &self.sharded.lanes;
+        (
+            lanes.iter().map(|l| l.waves.slots()).sum(),
+            lanes.iter().map(|l| l.waves.acquires()).sum(),
+        )
     }
 
     /// Runs `n` rounds.
@@ -861,11 +734,12 @@ impl PdhtNetwork {
         }
     }
 
-    /// Executes one round by scheduling its phases on the event queue and
-    /// draining it in virtual-time order. Message arrivals of in-flight
-    /// queries interleave with the phases at their own instants; arrivals
-    /// falling beyond the round boundary stay parked and fire in the round
-    /// they belong to.
+    /// Executes one round: schedules its six phase markers on the global
+    /// queue and pops them in virtual-time order, each running its phase's
+    /// serial work and a lane pass up to the next marker. In-flight
+    /// messages interleave with the phases at their own instants on the
+    /// lane queues; arrivals falling beyond the round boundary stay parked
+    /// and fire in the round they belong to.
     pub fn step_round(&mut self) {
         let round = self.driver.next_round();
         // Each phase gets its own instant inside the round; the queue's
@@ -873,7 +747,7 @@ impl PdhtNetwork {
         for (i, phase) in PHASES.into_iter().enumerate() {
             self.events.schedule_at(
                 round.start() + SimTime::from_micros(i as u64 * PHASE_SPACING_US),
-                NetEvent::Phase(phase),
+                phase,
             );
         }
         // Drain strictly *within* the round: `pop_until` is inclusive and
@@ -883,9 +757,11 @@ impl PdhtNetwork {
         let in_round = round.end() - SimTime::from_micros(1);
         while let Some(scheduled) = self.events.pop_until(in_round) {
             self.events_dispatched += 1;
-            // Message events carry their own round (they may have been
-            // scheduled rounds ago); within this loop it equals `round`.
-            self.dispatch(scheduled.event, scheduled.time.round().0);
+            let (phase, round) = (scheduled.event, scheduled.time.round().0);
+            if self.hook.is_some() {
+                self.run_hook(HookPoint::BeforePhase { round, phase });
+            }
+            self.run_phase(phase, round);
         }
         // Park the clock at the round boundary so external schedulers can
         // target the next round directly.
@@ -893,46 +769,13 @@ impl PdhtNetwork {
         self.driver.advance();
     }
 
-    /// Routes one event to its handler, consulting the hook first.
-    fn dispatch(&mut self, event: NetEvent, round: u64) {
-        if self.hook.is_some() {
-            // Stale message events (arrivals/timeouts of already-resolved
-            // queries) are no-ops and stay invisible to the hook, as are
-            // the per-peer background ticks (phase boundaries remain the
-            // hook's calibration seam — one observation per phase per
-            // round, not one per peer).
-            let point = match event {
-                NetEvent::Phase(phase) => Some(HookPoint::BeforePhase { round, phase }),
-                NetEvent::MessageArrival { query, .. } | NetEvent::QueryTimeout { query } => self
-                    .inflight
-                    .contains(query)
-                    .then_some(HookPoint::BeforeMessage { round, query }),
-                NetEvent::PeerMaintenance { .. }
-                | NetEvent::TtlSweep { .. }
-                | NetEvent::GossipPush { .. } => None,
-            };
-            if let Some(point) = point {
-                self.run_hook(point);
-            }
-        }
-        match event {
-            NetEvent::Phase(phase) => self.run_phase(phase, round),
-            NetEvent::MessageArrival { query, .. } => self.on_message_arrival(query, round),
-            NetEvent::QueryTimeout { query } => self.on_query_timeout(query),
-            NetEvent::PeerMaintenance { peer } => self.on_peer_maintenance(peer),
-            NetEvent::TtlSweep { peer } => self.on_ttl_sweep(peer, round),
-            NetEvent::GossipPush { update, .. } => self.on_gossip_push(update, round),
-        }
-    }
-
-    /// Executes one phase marker. On the legacy path `OverlayMaintenance`
-    /// and `PurgeExpired` are pure calibration boundaries (their per-peer
-    /// events dispatch off the global queue at their own instants); on
-    /// sharded engines every phase marker additionally drains the lanes in
-    /// parallel up to the next marker, so lane-resident background events
-    /// fire *after* their phase's hook seam.
+    /// Executes one phase marker: the phase's serial work, then a lane
+    /// pass up to the next marker, so lane-resident background events fire
+    /// *after* their phase's hook seam.
     fn run_phase(&mut self, phase: RoundPhase, round: u64) {
-        let sharded = self.sharded.is_some();
+        let r = Round(round);
+        let at = |offset_us: u64| r.start() + SimTime::from_micros(offset_us);
+        let in_round = r.end() - SimTime::from_micros(1);
         match phase {
             RoundPhase::Churn => {
                 let t0 = self.phase_timers.is_some().then(Instant::now);
@@ -940,46 +783,50 @@ impl PdhtNetwork {
                 if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
                     tm.churn += t0.elapsed();
                 }
-                if sharded {
-                    self.sharded_pass(round, 1);
-                }
+                self.lane_pass(at(PHASE_SPACING_US - 1), None, false);
             }
             RoundPhase::OverlayMaintenance => {
-                if sharded {
-                    self.sharded_pass(round, 2);
-                }
+                self.lane_pass(at(2 * PHASE_SPACING_US - 1), None, false);
             }
-            RoundPhase::PurgeExpired => {
-                if sharded {
-                    self.sharded_pass(round, 3);
-                }
-            }
+            RoundPhase::PurgeExpired => self.lane_pass(at(3 * PHASE_SPACING_US - 1), None, false),
             RoundPhase::ContentUpdates => {
                 let t0 = self.phase_timers.is_some().then(Instant::now);
                 self.phase_content_updates(round);
                 if let (Some(t0), Some(tm)) = (t0, self.phase_timers.as_mut()) {
                     tm.barriers += t0.elapsed();
                 }
-                if sharded {
-                    self.sharded_pass(round, 4);
+                self.lane_pass(at(QUERIES_OFFSET_US - 1), None, false);
+            }
+            RoundPhase::Queries => {
+                if self.drains_after_bookkeeping() {
+                    self.phase_queries(round, at(BOOKKEEPING_OFFSET_US - 1), None);
+                } else {
+                    self.phase_queries(round, in_round, Some(r.end()));
                 }
             }
-            RoundPhase::Queries => self.phase_queries(round),
             RoundPhase::Bookkeeping => {
                 self.fold_lanes();
                 self.phase_bookkeeping(round);
+                if self.drains_after_bookkeeping() {
+                    self.lane_pass(in_round, Some(r.end()), false);
+                    self.fold_lanes();
+                }
             }
         }
     }
 
-    /// Runs one parallel lane drain ending just before phase instant
-    /// `next_phase_index` of `round`. No-op on unsharded engines.
-    fn sharded_pass(&mut self, round: u64, next_phase_index: u64) {
-        let Some(mut st) = self.sharded.take() else { return };
-        let deadline =
-            Round(round).start() + SimTime::from_micros(next_phase_index * PHASE_SPACING_US - 1);
-        self.lane_pass(&mut st, deadline, None, false);
-        self.sharded = Some(st);
+    /// Whether the rest of the round — background work jittered past the
+    /// Bookkeeping instant — drains *after* that round's metrics mark, so
+    /// it counts in the next round's record (true at `shards = 1`).
+    ///
+    /// This is the one schedule seam between shard counts. One-lane runs
+    /// keep the attribution the single-queue engine always had, which the
+    /// `shards = 1` golden vectors and the benchmark's pinned digests
+    /// encode; `S > 1` engines drain their lanes to the round end before
+    /// the fold, which `S > 1` digests encode. Unifying the two re-pins
+    /// one set of digests.
+    fn drains_after_bookkeeping(&self) -> bool {
+        self.sharded.lanes.len() == 1
     }
 
     /// Calls the hook (temporarily detached to keep the borrow checker
@@ -1262,7 +1109,7 @@ mod tests {
         // NoIndex schedules no background events, so the queue population
         // is exactly the probe event.
         let mut net = PdhtNetwork::new(cfg(Strategy::NoIndex, 1.0 / 60.0)).unwrap();
-        net.events.schedule_at(Round(1).start(), NetEvent::Phase(RoundPhase::Churn));
+        net.events.schedule_at(Round(1).start(), RoundPhase::Churn);
         net.step_round();
         assert_eq!(net.events.len(), 1, "boundary event must survive round 0");
         net.step_round();
@@ -1279,6 +1126,11 @@ mod tests {
         assert_eq!(net.next_round(), 1);
     }
 
+    /// Events pending on every lane queue.
+    fn lane_events(net: &PdhtNetwork) -> usize {
+        net.sharded.lanes.iter().map(|l| l.events.len()).sum()
+    }
+
     #[test]
     fn background_events_keep_a_steady_per_peer_population() {
         // Every active peer carries one perpetual maintenance event, plus
@@ -1286,18 +1138,29 @@ mod tests {
         // them, so the pending population is invariant across rounds.
         let mut net = PdhtNetwork::new(cfg(Strategy::Partial, 1.0 / 60.0)).unwrap();
         let expected = 2 * net.num_active_peers();
-        assert_eq!(net.events.len(), expected, "maintenance + TTL sweep per active peer");
+        assert_eq!(lane_events(&net), expected, "maintenance + TTL sweep per active peer");
         for _ in 0..3 {
             net.step_round();
-            assert_eq!(net.events.len(), expected, "background events must reschedule");
+            assert_eq!(lane_events(&net), expected, "background events must reschedule");
         }
 
         let net = PdhtNetwork::new(cfg(Strategy::IndexAll, 1.0 / 60.0)).unwrap();
         assert_eq!(
-            net.events.len(),
+            lane_events(&net),
             net.num_active_peers(),
             "IndexAll never expires entries: maintenance only"
         );
+    }
+
+    #[test]
+    fn phase_timers_see_the_query_phase_at_one_shard() {
+        let mut net = PdhtNetwork::new(cfg(Strategy::Partial, 1.0 / 30.0)).unwrap();
+        assert_eq!(net.shards(), 1);
+        net.enable_phase_timers();
+        net.run(5);
+        let tm = net.phase_breakdown().expect("timers enabled");
+        assert!(tm.queries > Duration::ZERO, "query phase must be timed: {tm:?}");
+        assert!(tm.background > Duration::ZERO, "background passes must be timed: {tm:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! # Architecture
 //!
-//! The engine is composed of four seams, one per submodule:
+//! The engine is composed of five seams, one per submodule:
 //!
 //! * [`peer`] — per-peer state: every active peer's TTL'd [`crate::PartialIndex`]
 //!   plus the global distinct-key accounting, behind one borrow-friendly
@@ -22,16 +22,17 @@
 //! * [`maintenance`] — background work: churn transitions and rejoin
 //!   pulls, routing-table probe maintenance, TTL eviction sweeps, and
 //!   update propagation through replica gossip,
-//! * [`shard`] — shard-parallel rounds: with [`crate::PdhtConfig::shards`]
-//!   `> 1` the population splits into shards, each owning a query lane
-//!   (stores, RNG streams, event queue); the query phase generates and
-//!   executes work shard-parallel on a scoped thread pool with a
-//!   deterministic outbox merge between the passes,
-//! * [`engine`] — orchestration: round phases and query messages ride one
-//!   deterministic [`pdht_sim::EventQueue`] as [`NetEvent`]s dispatched in
-//!   virtual-time order, with [`pdht_sim::RoundDriver`] tracking the round
-//!   counter, per-query latency histograms feeding [`SimReport`], and
-//!   [`engine::EventHook`]s injecting faults at precise instants.
+//! * [`shard`] — the execution lanes: the population splits into
+//!   [`crate::PdhtConfig::shards`] shards (one by default), each owning a
+//!   lane (stores, RNG streams, event queue of background events and
+//!   in-flight messages); every phase's lane pass runs the lanes on a
+//!   persistent thread pool with a deterministic outbox merge between
+//!   passes,
+//! * [`engine`] — orchestration: the six round phases ride a global
+//!   deterministic [`pdht_sim::EventQueue`] in virtual-time order, each
+//!   followed by a lane pass, with [`pdht_sim::RoundDriver`] tracking the
+//!   round counter, per-query latency histograms feeding [`SimReport`], and
+//!   [`engine::EventHook`]s injecting faults at phase boundaries.
 //!
 //! The structured overlay is held as a `Box<dyn Overlay>` chosen from
 //! [`crate::PdhtConfig::overlay`] at build time, so the same engine runs

@@ -142,7 +142,8 @@ pub(crate) struct PeerStores {
 impl PeerStores {
     /// `nap` empty stores of `capacity` entries each in a single shard
     /// (identity slot mapping), over a key universe of `num_keys` dense
-    /// indices.
+    /// indices — the one-lane layout the unit tests exercise peer by peer.
+    #[cfg(test)]
     pub(crate) fn new(nap: usize, capacity: usize, num_keys: usize) -> PeerStores {
         PeerStores {
             slot: (0..nap).map(|i| (0, i as u32)).collect(),
@@ -223,7 +224,9 @@ impl PeerStores {
         self.shards[s].peek_local(l, idx, now)
     }
 
-    /// Evicts every expired entry at `peer`, updating the accounting.
+    /// Evicts every expired entry at `peer`, updating the accounting
+    /// (engine sweeps go through [`ShardStores::purge_expired`]).
+    #[cfg(test)]
     pub(crate) fn purge_expired(&mut self, peer: PeerId, now: u64) {
         let (s, l) = self.local(peer);
         self.shards[s].purge_expired_local(l, now);

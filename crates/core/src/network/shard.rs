@@ -1,21 +1,20 @@
-//! Shard-parallel round execution.
+//! The lane schedule: every round runs on `S` execution lanes.
 //!
-//! With [`crate::PdhtConfig::shards`] `S > 1` the peer population is
-//! partitioned into `S` contiguous origin ranges and the replica groups
-//! into `S` group ranges; each shard owns a [`LaneState`] — its slice of
-//! the peer stores, its own RNG streams, admission filter, in-flight
-//! slabs, and virtual-time event queue — and the *whole round* (not just
-//! the query phase) runs shard-parallel on a persistent
-//! [`pdht_sim::ShardPool`]:
+//! [`crate::PdhtConfig::shards`] partitions the peer population into `S`
+//! contiguous origin ranges and the replica groups into `S` group ranges;
+//! each shard owns a [`LaneState`] — its slice of the peer stores, its own
+//! RNG streams, admission filter, in-flight slabs, and virtual-time event
+//! queue — and the whole round runs lane-parallel on a persistent
+//! [`pdht_sim::ShardPool`]. `S = 1` is one lane, not a separate engine:
 //!
 //! * The engine's global queue carries only the six phase markers; every
 //!   background event (maintenance tick, TTL sweep, gossip wave) and every
 //!   in-flight message lives on the owning lane's queue.
 //! * After each phase's serial work, [`PdhtNetwork::lane_pass`] drains the
-//!   lanes in parallel up to the next phase instant: maintenance ticks
-//!   fire after the `OverlayMaintenance` marker, TTL sweeps after
-//!   `PurgeExpired`, dealt update propagations after `ContentUpdates`, and
-//!   the merged query batches after `Queries` — preserving the
+//!   lanes up to the next phase instant: maintenance ticks fire after the
+//!   `OverlayMaintenance` marker, TTL sweeps after `PurgeExpired`, dealt
+//!   update propagations after `ContentUpdates`, and the merged query
+//!   batches after `Queries` — preserving the
 //!   [`super::engine::HookPoint::BeforePhase`] seams.
 //! * Cross-lane traffic (queries addressed to another shard's replica
 //!   group, update propagations advancing to a key another shard owns)
@@ -46,16 +45,20 @@ use pdht_overlay::{Overlay, PlanScratch, Repair};
 use pdht_sim::{
     merge_outboxes_into, EventQueue, MergeBuffers, Metrics, Outbox, ShardPool, Slab, VisitSet,
 };
-use pdht_types::{RngStreams, Round, SimTime};
+use pdht_types::{PeerId, RngStreams, Round, SimTime};
+use pdht_workload::updates::Replacement;
 use pdht_workload::Query;
 use rand::rngs::SmallRng;
 use std::time::Instant;
 
-/// A unit of cross-lane traffic: a freshly generated query dealt to the
-/// shard owning its key's replica group, or an update-propagation context
-/// handed to the shard owning its next key.
+/// A unit of cross-lane traffic: a freshly generated query or a replaced
+/// article dealt to the shard owning its key's replica group, or an
+/// update-propagation context handed to the shard owning its next key.
 pub(crate) enum LaneMsg {
     Query(Query),
+    /// A replaced article whose propagation the destination lane starts
+    /// (drawing the entry peer on its own overlay stream at delivery).
+    Replaced(Replacement),
     Update(UpdateCtx),
 }
 
@@ -67,10 +70,10 @@ pub(crate) struct LaneState {
     pub(crate) rng_overlay: SmallRng,
     pub(crate) rng_search: SmallRng,
     pub(crate) rng_latency: SmallRng,
-    /// Lane-private metrics, merged into the engine at the bookkeeping
-    /// barrier.
+    /// Lane-private metrics, merged into the engine by
+    /// [`PdhtNetwork::fold_lanes`].
     pub(crate) metrics: Metrics,
-    /// Lane-private outcome counters, merged at the bookkeeping barrier.
+    /// Lane-private outcome counters, merged by the same fold.
     pub(crate) counters: Counters,
     pub(crate) admission: AdmissionFilter,
     pub(crate) scratch: VisitSet,
@@ -90,17 +93,15 @@ pub(crate) struct LaneState {
     pub(crate) repairs: Vec<Repair>,
     /// Reusable maintenance-plan scratch.
     pub(crate) plan: PlanScratch,
-    /// Lane events dispatched, folded into the engine's global counter at
-    /// the bookkeeping barrier.
+    /// Lane events dispatched, folded into the engine's global counter by
+    /// the same fold.
     pub(crate) dispatched: u64,
 }
 
-/// The engine's shard-parallel state: the partition maps, one
-/// [`LaneState`] per shard, the per-shard churn streams, the reusable
-/// merge buffers, and the persistent worker pool.
+/// The engine's lane state: the partition maps, one [`LaneState`] per
+/// shard, the per-shard churn streams, the reusable merge buffers, and the
+/// persistent worker pool.
 pub(crate) struct ShardedState {
-    /// Number of shards `S` (fixed at build; `>= 2`).
-    pub(crate) shards: usize,
     /// Replica group → owning shard (`g * S / group_count`; empty without
     /// an overlay).
     pub(crate) group_shard: Vec<u16>,
@@ -109,12 +110,13 @@ pub(crate) struct ShardedState {
     pub(crate) peer_shard: Vec<u16>,
     /// Shard → its origin range `[lo, hi)`.
     pub(crate) ranges: Vec<(u32, u32)>,
+    /// One lane per shard (`S >= 1`, fixed at build).
     pub(crate) lanes: Vec<LaneState>,
-    /// Per-shard churn streams (`("churn-run", s)`), drained serially in
-    /// shard order each churn phase.
+    /// Per-shard churn streams, drained serially in shard order each churn
+    /// phase (shard 0's also draws forced blackouts).
     pub(crate) churn_rngs: Vec<SmallRng>,
     /// Engine-side outbox (src = `S`) dealing serially created work — one
-    /// update context per replaced article — into the lanes.
+    /// replaced article per update propagation — into the lanes.
     pub(crate) deal: Outbox<LaneMsg>,
     /// Caller-owned merge buffers: the barrier is allocation-free at
     /// steady state.
@@ -123,11 +125,22 @@ pub(crate) struct ShardedState {
     pub(crate) pool: ShardPool,
 }
 
+/// Shard `s`'s stream for `label`. A one-lane engine seeds from the plain
+/// labels (`stream("workload")`, …) — the streams the simulator has always
+/// drawn at `shards = 1`, which keeps every pinned single-shard vector —
+/// while `S > 1` lanes take `("<label>", s)` indexed streams, so shard
+/// counts, not thread counts, define the random universe.
+pub(crate) fn lane_stream(streams: &RngStreams, label: &str, s: usize, shards: usize) -> SmallRng {
+    if shards == 1 {
+        streams.stream(label)
+    } else {
+        streams.indexed_stream(label, s as u64)
+    }
+}
+
 impl ShardedState {
-    /// Builds the partition maps and per-shard lanes for `shards >= 2`
-    /// shards over `num_peers` peers. Each lane's RNG streams derive from
-    /// the seed via `("<component>", shard)` indexed labels, so shard
-    /// counts — not thread counts — define the random universe.
+    /// Builds the partition maps and per-shard lanes for `shards >= 1`
+    /// shards over `num_peers` peers.
     pub(crate) fn new(
         shards: usize,
         num_peers: u32,
@@ -135,7 +148,7 @@ impl ShardedState {
         streams: &RngStreams,
         admission: AdmissionPolicy,
     ) -> ShardedState {
-        debug_assert!(shards >= 2 && shards <= usize::try_from(num_peers).unwrap_or(usize::MAX));
+        debug_assert!(shards >= 1 && shards <= usize::try_from(num_peers).unwrap_or(usize::MAX));
         let n = num_peers as usize;
         let ranges: Vec<(u32, u32)> = (0..shards)
             .map(|s| (((s * n) / shards) as u32, (((s + 1) * n) / shards) as u32))
@@ -155,10 +168,10 @@ impl ShardedState {
         };
         let lanes: Vec<LaneState> = (0..shards)
             .map(|s| LaneState {
-                rng_workload: streams.indexed_stream("workload", s as u64),
-                rng_overlay: streams.indexed_stream("overlay", s as u64),
-                rng_search: streams.indexed_stream("search", s as u64),
-                rng_latency: streams.indexed_stream("latency", s as u64),
+                rng_workload: lane_stream(streams, "workload", s, shards),
+                rng_overlay: lane_stream(streams, "overlay", s, shards),
+                rng_search: lane_stream(streams, "search", s, shards),
+                rng_latency: lane_stream(streams, "latency", s, shards),
                 metrics: Metrics::new(),
                 counters: Counters::default(),
                 admission: AdmissionFilter::new(admission),
@@ -174,9 +187,8 @@ impl ShardedState {
             })
             .collect();
         let churn_rngs: Vec<SmallRng> =
-            (0..shards).map(|s| streams.indexed_stream("churn-run", s as u64)).collect();
+            (0..shards).map(|s| lane_stream(streams, "churn-run", s, shards)).collect();
         ShardedState {
-            shards,
             group_shard,
             peer_shard,
             ranges,
@@ -185,6 +197,16 @@ impl ShardedState {
             deal: Outbox::new(shards as u32),
             merge: MergeBuffers::new(shards),
             pool: ShardPool::new(1),
+        }
+    }
+
+    /// The shard owning active peer `p`'s store: its replica group's shard
+    /// (so every store mutation a query performs is lane-local), or its
+    /// origin shard without an overlay. TTL sweeps are seeded on this lane.
+    pub(crate) fn store_shard(&self, overlay: Option<&dyn Overlay>, p: usize) -> u16 {
+        match overlay {
+            Some(o) => self.group_shard[o.group_of_peer(PeerId::from_idx(p))],
+            None => self.peer_shard[p],
         }
     }
 }
@@ -198,15 +220,17 @@ struct LaneTask<'a> {
 }
 
 impl PdhtNetwork {
-    /// The shard-parallel query phase: a parallel generate pass deals the
-    /// round's workload into the outboxes, then a [`PdhtNetwork::lane_pass`]
-    /// issues the merged batches at the phase instant and drains the rest
-    /// of the round, parking every lane clock at the boundary.
-    pub(crate) fn phase_queries_sharded(&mut self, round: u64) {
-        let mut st = self.sharded.take().expect("sharded query phase needs sharded state");
-        let r = Round(round);
-        let t_q = r.start() + SimTime::from_micros(QUERIES_OFFSET_US);
-        let in_round = r.end() - SimTime::from_micros(1);
+    /// The query phase: a parallel generate pass deals the round's
+    /// workload into the outboxes, then a [`PdhtNetwork::lane_pass`] issues
+    /// the merged batches at the phase instant and drains the lanes up to
+    /// `deadline`.
+    pub(crate) fn phase_queries(
+        &mut self,
+        round: u64,
+        deadline: SimTime,
+        advance: Option<SimTime>,
+    ) {
+        let t_q = Round(round).start() + SimTime::from_micros(QUERIES_OFFSET_US);
 
         // Generate (parallel): each shard draws its origin range's workload
         // and deals queries to the shard owning the key's replica group
@@ -217,10 +241,10 @@ impl PdhtNetwork {
             let workload = &self.workload;
             let keys = &self.keys;
             let overlay = self.overlay.as_deref();
+            let st = &mut self.sharded;
             let group_shard: &[u16] = &st.group_shard;
             let ranges: &[(u32, u32)] = &st.ranges;
-            let (pool, lanes) = (&st.pool, &mut st.lanes);
-            pool.run(lanes, |s, lane| {
+            st.pool.run(&mut st.lanes, |s, lane| {
                 let (lo, hi) = ranges[s];
                 for q in workload.round_queries_range(round, &mut lane.rng_workload, lo, hi) {
                     let dest = match overlay {
@@ -235,8 +259,7 @@ impl PdhtNetwork {
             tm.queries += t0.elapsed();
         }
 
-        self.lane_pass(&mut st, in_round, Some(r.end()), true);
-        self.sharded = Some(st);
+        self.lane_pass(deadline, advance, true);
     }
 
     /// Runs one parallel drain pass over every lane: merge the outboxes
@@ -249,7 +272,6 @@ impl PdhtNetwork {
     /// lane clock afterwards (the round boundary on the final pass).
     pub(crate) fn lane_pass(
         &mut self,
-        st: &mut ShardedState,
         deadline: SimTime,
         advance: Option<SimTime>,
         queries_bucket: bool,
@@ -258,6 +280,7 @@ impl PdhtNetwork {
         let mut pool_time = std::time::Duration::ZERO;
         let mut barrier_time = std::time::Duration::ZERO;
         let mut first = true;
+        let st = &mut self.sharded;
         loop {
             let t0 = timing.then(Instant::now);
             {
@@ -312,9 +335,8 @@ impl PdhtNetwork {
                     .zip(st.merge.batches_mut().iter_mut())
                     .map(|((lane, store), batch)| LaneTask { lane, store, batch })
                     .collect();
-                let pool = &st.pool;
                 let t0 = timing.then(Instant::now);
-                pool.run(&mut tasks, |s, task| {
+                st.pool.run(&mut tasks, |s, task| {
                     let mut dispatched = 0;
                     {
                         let lane = &mut *task.lane;
@@ -396,11 +418,11 @@ impl PdhtNetwork {
         }
     }
 
-    /// The bookkeeping barrier: folds every lane's accounting into the
-    /// engine, in shard order. No-op on unsharded engines.
+    /// Folds every lane's accounting into the engine, in shard order: the
+    /// bookkeeping barrier, plus (one-lane engines) the end of the
+    /// post-bookkeeping tail pass.
     pub(crate) fn fold_lanes(&mut self) {
-        let Some(st) = &mut self.sharded else { return };
-        for lane in &mut st.lanes {
+        for lane in &mut self.sharded.lanes {
             let lane_metrics = std::mem::replace(&mut lane.metrics, Metrics::new());
             self.metrics.merge_from(&lane_metrics);
             self.counters.merge_from(&lane.counters);

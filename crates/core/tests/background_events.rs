@@ -186,8 +186,8 @@ fn sharded_busy_config_is_thread_invariant() {
     // maintenance and TTL sweeps, update waves riding non-zero latency —
     // run at shards = 4. `run_totals` asserts the per-kind accounting is
     // bit-identical across thread counts {1, 2, 4, 8}; this is the
-    // whole-round-lanes analogue of the golden vectors above (which pin
-    // the `shards = 1` legacy path).
+    // many-lane analogue of the golden vectors above (which pin
+    // `shards = 1`).
     for strategy in [Strategy::Partial, Strategy::IndexAll] {
         let mut cfg = busy_cfg(OverlayKind::Trie, strategy);
         cfg.shards = 4;
@@ -220,4 +220,59 @@ fn nonzero_latency_leaves_updates_in_flight() {
         net.step_round();
         assert_eq!(net.updates_in_flight(), 0);
     }
+}
+
+/// Per-round by-kind counts (rows in [`MessageKind::ALL`] order), checked
+/// to be identical at every thread count.
+fn run_per_round(cfg: PdhtConfig, rounds: u64) -> Vec<[u64; MessageKind::COUNT]> {
+    let mut out = Vec::new();
+    for threads in [1usize, 2, 4, 8] {
+        let mut net = PdhtNetwork::new(cfg.clone()).expect("network builds");
+        net.set_threads(threads);
+        net.run(rounds);
+        let rows: Vec<[u64; MessageKind::COUNT]> = (0..rounds)
+            .map(|r| {
+                let counts = net.metrics().round_delta(pdht_types::Round(r)).expect("marked");
+                let mut row = [0u64; MessageKind::COUNT];
+                for (i, &k) in MessageKind::ALL.iter().enumerate() {
+                    row[i] = counts[k];
+                }
+                row
+            })
+            .collect();
+        if threads == 1 {
+            out = rows;
+        } else {
+            assert_eq!(rows, out, "thread count {threads} changed the per-round accounting");
+        }
+    }
+    out
+}
+
+#[test]
+fn jittered_background_after_bookkeeping_counts_in_the_next_round() {
+    // Maintenance ticks jittered over 900 ms fire after the Bookkeeping
+    // instant (50 µs), so the probes a round pays are recorded after that
+    // round's metrics mark and land in the *next* round's row: round 0
+    // shows only the few ticks that fall before 50 µs. The vector pins
+    // that attribution per round, for coded update waves (RLNC-sparse,
+    // G = 32) under churn — a whole-run total would not see a one-round
+    // shift.
+    let mut cfg = busy_cfg(OverlayKind::Trie, Strategy::IndexAll);
+    cfg.background = BackgroundSchedule { maintenance_jitter_us: 900_000, ttl_jitter_us: 900_000 };
+    cfg.gossip_codec = pdht_core::GossipCodec::RlncSparse;
+    cfg.gossip_generation = 32;
+    assert_eq!(
+        run_per_round(cfg, 8),
+        [
+            [89, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+            [86, 383, 0, 0, 32655, 1752, 0, 0, 0, 0],
+            [40, 427, 0, 0, 35457, 1806, 0, 0, 0, 0],
+            [62, 433, 0, 0, 13250, 1116, 0, 0, 0, 0],
+            [73, 412, 0, 0, 16178, 846, 0, 0, 0, 0],
+            [61, 428, 0, 8, 0, 0, 0, 0, 0, 0],
+            [53, 416, 0, 0, 0, 0, 0, 0, 0, 0],
+            [70, 455, 0, 5, 0, 2, 0, 0, 0, 0],
+        ]
+    );
 }

@@ -159,28 +159,40 @@ fn hook_fires_before_the_phase_its_background_events_follow() {
 }
 
 #[test]
-fn hook_observes_message_events_under_latency() {
+fn hook_sees_only_phase_boundaries_under_latency() {
+    // Message events ride the lane queues, drained inside parallel passes
+    // where a `!Send` hook cannot run: the hook observes the six phase
+    // markers of every round, in order, and nothing else — and observing
+    // them changes no result.
     use std::cell::RefCell;
     use std::rc::Rc;
-    let seen = Rc::new(RefCell::new((0u64, 0u64)));
+    let cfg = cfg(Strategy::Partial, LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 });
+    let seen = Rc::new(RefCell::new(Vec::new()));
     let seen_hook = Rc::clone(&seen);
-    let mut net = PdhtNetwork::new(cfg(
-        Strategy::Partial,
-        LatencyConfig::Uniform { lo_ms: 5.0, hi_ms: 20.0 },
-    ))
-    .expect("builds");
-    net.set_event_hook(Box::new(move |point| {
-        let mut s = seen_hook.borrow_mut();
-        match point {
-            HookPoint::BeforePhase { .. } => s.0 += 1,
-            HookPoint::BeforeMessage { .. } => s.1 += 1,
+    let mut hooked = PdhtNetwork::new(cfg.clone()).expect("builds");
+    hooked.set_event_hook(Box::new(move |point| {
+        if let HookPoint::BeforePhase { round, phase } = point {
+            seen_hook.borrow_mut().push((round, phase));
         }
         Vec::new()
     }));
-    net.run(5);
-    let (phases, messages) = *seen.borrow();
-    assert_eq!(phases, 5 * 6, "six phases per round");
-    assert!(messages > 0, "per-hop events must be observable");
+    hooked.run(5);
+    let mut plain = PdhtNetwork::new(cfg).expect("builds");
+    plain.run(5);
+
+    let phases = [
+        RoundPhase::Churn,
+        RoundPhase::OverlayMaintenance,
+        RoundPhase::PurgeExpired,
+        RoundPhase::ContentUpdates,
+        RoundPhase::Queries,
+        RoundPhase::Bookkeeping,
+    ];
+    let expected: Vec<(u64, RoundPhase)> =
+        (0..5).flat_map(|r| phases.into_iter().map(move |p| (r, p))).collect();
+    assert_eq!(*seen.borrow(), expected, "six phase points per round, in firing order");
+    assert!(hooked.report(0, 4).query_hops.is_some_and(|h| h.mean > 0.0), "hops must be delayed");
+    assert_eq!(hooked.report(0, 4), plain.report(0, 4), "a passive hook changes nothing");
 }
 
 proptest! {

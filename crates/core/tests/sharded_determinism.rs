@@ -6,8 +6,8 @@
 //! {1, 2, 4, 8} and assert the [`SimReport`], the per-kind message totals,
 //! and the index gauges are **bit-for-bit identical** (floats compared
 //! exactly: the merge barriers fix a total order, so not a single
-//! operation may reorder). `golden_accounting.rs` pins the `shards = 1`
-//! legacy path against its pre-sharding vectors the same way.
+//! operation may reorder). `golden_accounting.rs` pins the one-lane
+//! `shards = 1` engine against its pre-sharding vectors the same way.
 
 use pdht_core::{
     GossipCodec, LatencyConfig, OverlayKind, PdhtConfig, PdhtNetwork, SimReport, Strategy,

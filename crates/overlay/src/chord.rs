@@ -267,76 +267,7 @@ impl Overlay for ChordOverlay {
         }
     }
 
-    fn maintenance_step(
-        &mut self,
-        peer: PeerId,
-        env: f64,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) {
-        // Probe each finger/successor entry with probability env. Stale
-        // entries are repaired from the ring oracle (piggybacking, free).
-        if !live.is_online(peer) {
-            return;
-        }
-        let i = peer.idx();
-        // Fingers: a stale finger is re-targeted to the next online peer
-        // clockwise of its old position.
-        let mut repairs: Vec<(usize, PeerId)> = Vec::new();
-        for (fi, &f) in self.nodes[i].fingers.iter().enumerate() {
-            if rng.random::<f64>() < env {
-                metrics.record(MessageKind::Probe);
-                if !live.is_online(f) {
-                    let old_id = self.nodes[f.idx()].id;
-                    let mut probe_point = old_id.wrapping_add(1);
-                    let mut replacement = Self::successor_on(&self.ring, probe_point);
-                    let mut guard = 0;
-                    while !live.is_online(replacement) && guard < self.ring.len() {
-                        probe_point = self.nodes[replacement.idx()].id.wrapping_add(1);
-                        replacement = Self::successor_on(&self.ring, probe_point);
-                        guard += 1;
-                    }
-                    if live.is_online(replacement) {
-                        repairs.push((fi, replacement));
-                    }
-                }
-            }
-        }
-        for (fi, rep) in repairs {
-            self.nodes[i].fingers[fi] = rep;
-        }
-        // Successors are probed but repaired by re-deriving the list
-        // from the ring (free).
-        let mut any_stale = false;
-        for &s in &self.nodes[i].successors {
-            if rng.random::<f64>() < env {
-                metrics.record(MessageKind::Probe);
-                if !live.is_online(s) {
-                    any_stale = true;
-                }
-            }
-        }
-        if any_stale {
-            let my_id = self.nodes[i].id;
-            let n_ring = self.ring.len();
-            let start = self.ring.partition_point(|&(id, _)| id <= my_id) % n_ring;
-            let mut fresh = Vec::with_capacity(SUCCESSORS);
-            let mut off = 0usize;
-            while fresh.len() < SUCCESSORS.min(n_ring - 1) && off < n_ring - 1 {
-                let cand = self.ring[(start + off) % n_ring].1;
-                if live.is_online(cand) {
-                    fresh.push(cand);
-                }
-                off += 1;
-            }
-            if !fresh.is_empty() {
-                self.nodes[i].successors = fresh;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors maintenance_step plus plan outputs
+    #[allow(clippy::too_many_arguments)] // the probe inputs plus plan outputs
     fn maintenance_plan(
         &self,
         peer: PeerId,
@@ -347,11 +278,12 @@ impl Overlay for ChordOverlay {
         _scratch: &mut PlanScratch,
         out: &mut Vec<Repair>,
     ) {
-        // Read-only mirror of `maintenance_step`: identical probe draws,
-        // identical finger walks (rng-free), repairs recorded instead of
-        // applied. Nothing here reads another peer's mutable state (only
-        // immutable ids and the ring oracle), so batched plans replay
-        // exactly.
+        // Probe each finger/successor entry with probability env. A stale
+        // finger is re-targeted to the next online peer clockwise of its
+        // old position; stale successors re-derive the whole list from the
+        // ring (both free, by piggybacking). The finger walks are rng-free
+        // and read only immutable ids and the ring oracle — never another
+        // peer's mutable state — so batched plans replay exactly.
         if !live.is_online(peer) {
             return;
         }

@@ -23,7 +23,7 @@
 //! New substrates plug in by adding one `conformance_suite!` invocation —
 //! see `crates/overlay/tests/conformance.rs` for the three current ones.
 
-use crate::traits::{HopOutcome, Overlay};
+use crate::traits::{HopOutcome, Overlay, PlanScratch};
 use pdht_sim::Metrics;
 use pdht_types::{Key, Liveness, MessageKind, PdhtError, PeerId};
 use rand::rngs::SmallRng;
@@ -291,13 +291,43 @@ pub fn check_liveness_under_churn(factory: Factory) {
     assert!(ok_after > 35, "repair must not degrade routing, ok={ok_after}/50");
 }
 
-/// `maintenance_round` is exactly `maintenance_step` swept in peer order:
-/// with identically seeded rngs, two same-seed builds — one running the
-/// whole-round sweep, one stepping peers individually — must charge the same
-/// probe messages and leave identically-behaving routing tables. This is the
-/// contract that lets event-driven engines schedule one `PeerMaintenance`
-/// event per peer and still reproduce the sweep's accounting bit-for-bit.
-pub fn check_maintenance_step_matches_round(factory: Factory) {
+/// The sequential maintenance reference: each peer's repairs are planned
+/// and applied before the next peer is planned, so every plan reads fully
+/// repaired tables.
+fn step_each_peer(
+    o: &mut dyn Overlay,
+    env: f64,
+    live: &Liveness,
+    rng: &mut SmallRng,
+    metrics: &mut Metrics,
+) {
+    let mut scratch = PlanScratch::new();
+    let mut repairs = Vec::new();
+    for p in 0..o.num_active() {
+        o.maintenance_plan(
+            PeerId::from_idx(p),
+            env,
+            live,
+            rng,
+            metrics,
+            &mut scratch,
+            &mut repairs,
+        );
+        o.maintenance_apply(&repairs, live);
+        repairs.clear();
+    }
+}
+
+/// Runs `sweep` and [`step_each_peer`] for five rounds on two same-seed
+/// builds over a 25%-offline population, and asserts they charge the same
+/// probes, consume the rng draw for draw (checked every round, so a
+/// divergence is caught at the round that introduced it), and leave
+/// structurally and behaviourally identical routing tables.
+fn assert_sweep_matches_stepping(
+    factory: Factory,
+    salt: u64,
+    sweep: fn(&mut dyn Overlay, &Liveness, &mut SmallRng, &mut Metrics),
+) {
     for (n, g, seed) in SHAPES {
         let mut swept = build(factory, n, g, seed);
         let mut stepped = build(factory, n, g, seed);
@@ -311,33 +341,35 @@ pub fn check_maintenance_step_matches_round(factory: Factory) {
         // Peer 0 stays online so the lookup-source sampling below always
         // has a candidate (a fully-offline shape would spin forever).
         assert!(live.is_online(PeerId(0)));
-        let maint_seed = seed ^ 0xF1;
         let mut m_swept = Metrics::new();
         let mut m_stepped = Metrics::new();
-        let mut rng_swept = SmallRng::seed_from_u64(maint_seed);
-        let mut rng_stepped = SmallRng::seed_from_u64(maint_seed);
+        let mut rng_swept = SmallRng::seed_from_u64(seed ^ salt);
+        let mut rng_stepped = SmallRng::seed_from_u64(seed ^ salt);
         for _ in 0..5 {
-            swept.maintenance_round(0.3, &live, &mut rng_swept, &mut m_swept);
-            for p in 0..n {
-                stepped.maintenance_step(
-                    PeerId::from_idx(p),
-                    0.3,
-                    &live,
-                    &mut rng_stepped,
-                    &mut m_stepped,
-                );
-            }
+            sweep(swept.as_mut(), &live, &mut rng_swept, &mut m_swept);
+            step_each_peer(stepped.as_mut(), 0.3, &live, &mut rng_stepped, &mut m_stepped);
+            assert_eq!(
+                rng_swept.random::<u64>(),
+                rng_stepped.random::<u64>(),
+                "the sweep must consume rng exactly like stepping (n={n}, g={g})"
+            );
         }
         assert_eq!(
             m_swept.totals()[MessageKind::Probe],
             m_stepped.totals()[MessageKind::Probe],
-            "stepping must charge exactly the sweep's probes (n={n}, g={g})"
+            "the sweep must charge exactly the stepping probes (n={n}, g={g})"
         );
-        // The repaired tables must behave identically: same lookup traces
-        // from identical rng states.
-        let mut r1 = SmallRng::seed_from_u64(seed ^ 0xF2);
-        let mut r2 = SmallRng::seed_from_u64(seed ^ 0xF2);
-        for key in keys_for(seed ^ 2, 25) {
+        for p in (0..n).map(PeerId::from_idx) {
+            assert_eq!(
+                swept.routing_entries(p),
+                stepped.routing_entries(p),
+                "table sizes diverged at peer {p} (n={n}, g={g})"
+            );
+        }
+        // Identical lookup traces from identical rng states.
+        let mut r1 = SmallRng::seed_from_u64(seed ^ salt ^ 0xF2);
+        let mut r2 = SmallRng::seed_from_u64(seed ^ salt ^ 0xF2);
+        for key in keys_for(seed ^ salt, 25) {
             let from = loop {
                 let c = PeerId::from_idx(r1.random_range(0..n));
                 let c2 = PeerId::from_idx(r2.random_range(0..n));
@@ -359,104 +391,30 @@ pub fn check_maintenance_step_matches_round(factory: Factory) {
     }
 }
 
-/// `maintenance_plan` + `maintenance_apply` is exactly `maintenance_step`:
-/// with identically seeded rngs, planning **every** peer first and replaying
-/// the batched repairs afterwards must charge the same probes, leave the rng
-/// in the same state (draw-for-draw parity), and produce identically-behaving
-/// routing tables as stepping each peer in turn. This is the contract that
-/// lets shard lanes plan their peers on worker threads and apply repairs at
-/// the serial pass barrier without perturbing the stepping path's results.
+/// `maintenance_round` is exactly the per-peer plan → apply step swept in
+/// peer order — the contract any overriding (batched, faster) sweep must
+/// keep, since engines schedule one `PeerMaintenance` event per peer.
+pub fn check_maintenance_round_matches_per_peer_plans(factory: Factory) {
+    assert_sweep_matches_stepping(factory, 0xF1, |o, live, rng, m| {
+        o.maintenance_round(0.3, live, rng, m);
+    });
+}
+
+/// Planning **every** peer first and replaying the batched repairs
+/// afterwards is exactly stepping each peer in turn. This holds because no
+/// peer's plan reads another peer's *mutable* routing state, and it is what
+/// lets shard lanes plan their peers on worker threads and apply repairs
+/// at the serial pass barrier.
 pub fn check_maintenance_plan_apply_matches_step(factory: Factory) {
-    use crate::traits::PlanScratch;
-    for (n, g, seed) in SHAPES {
-        let mut stepped = build(factory, n, g, seed);
-        let mut planned = build(factory, n, g, seed);
-        let mut live = Liveness::all_online(n);
-        let mut churn_rng = SmallRng::seed_from_u64(seed ^ 0xF0F0);
-        for i in 1..n {
-            if churn_rng.random::<f64>() < 0.25 {
-                live.set(PeerId::from_idx(i), false);
-            }
-        }
-        assert!(live.is_online(PeerId(0)));
-        let maint_seed = seed ^ 0xF3;
-        let mut m_stepped = Metrics::new();
-        let mut m_planned = Metrics::new();
-        let mut rng_stepped = SmallRng::seed_from_u64(maint_seed);
-        let mut rng_planned = SmallRng::seed_from_u64(maint_seed);
+    assert_sweep_matches_stepping(factory, 0xF3, |o, live, rng, m| {
         let mut scratch = PlanScratch::new();
         let mut repairs = Vec::new();
-        for _ in 0..5 {
-            for p in 0..n {
-                stepped.maintenance_step(
-                    PeerId::from_idx(p),
-                    0.3,
-                    &live,
-                    &mut rng_stepped,
-                    &mut m_stepped,
-                );
-            }
-            // Plan ALL peers before applying ANY repair — the batched shape
-            // shard lanes use (plans collected on workers, applied at the
-            // barrier).
-            repairs.clear();
-            for p in 0..n {
-                planned.maintenance_plan(
-                    PeerId::from_idx(p),
-                    0.3,
-                    &live,
-                    &mut rng_planned,
-                    &mut m_planned,
-                    &mut scratch,
-                    &mut repairs,
-                );
-            }
-            planned.maintenance_apply(&repairs, &live);
-            // Draw-for-draw parity, checked every round so a divergence is
-            // caught at the pass that introduced it.
-            assert_eq!(
-                rng_planned.random::<u64>(),
-                rng_stepped.random::<u64>(),
-                "plan must consume rng exactly like step (n={n}, g={g})"
-            );
+        for p in 0..o.num_active() {
+            let peer = PeerId::from_idx(p);
+            o.maintenance_plan(peer, 0.3, live, rng, m, &mut scratch, &mut repairs);
         }
-        assert_eq!(
-            m_planned.totals()[MessageKind::Probe],
-            m_stepped.totals()[MessageKind::Probe],
-            "planning must charge exactly the stepping probes (n={n}, g={g})"
-        );
-        // Structural equality of the repaired tables, peer by peer.
-        for p in (0..n).map(PeerId::from_idx) {
-            assert_eq!(
-                planned.routing_entries(p),
-                stepped.routing_entries(p),
-                "table sizes diverged at peer {p} (n={n}, g={g})"
-            );
-        }
-        // And behavioural equality: identical lookup traces from identical
-        // rng states.
-        let mut r1 = SmallRng::seed_from_u64(seed ^ 0xF4);
-        let mut r2 = SmallRng::seed_from_u64(seed ^ 0xF4);
-        for key in keys_for(seed ^ 3, 25) {
-            let from = loop {
-                let c = PeerId::from_idx(r1.random_range(0..n));
-                let c2 = PeerId::from_idx(r2.random_range(0..n));
-                assert_eq!(c, c2);
-                if live.is_online(c) {
-                    break c;
-                }
-            };
-            let a = stepped.lookup(from, key, &live, &mut r1, &mut m_stepped);
-            let b = planned.lookup(from, key, &live, &mut r2, &mut m_planned);
-            match (a, b) {
-                (Ok(oa), Ok(ob)) => {
-                    assert_eq!((oa.peer, oa.hops), (ob.peer, ob.hops), "repaired tables diverged");
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => panic!("repaired tables diverged: {a:?} vs {b:?} (n={n}, g={g})"),
-            }
-        }
-    }
+        o.maintenance_apply(&repairs, live);
+    });
 }
 
 /// Runs every conformance check (the one-call entry point; the
@@ -470,7 +428,7 @@ pub fn check_all(factory: Factory) {
     check_hop_accounting_is_monotone(factory);
     check_determinism_under_fixed_seeds(factory);
     check_liveness_under_churn(factory);
-    check_maintenance_step_matches_round(factory);
+    check_maintenance_round_matches_per_peer_plans(factory);
     check_maintenance_plan_apply_matches_step(factory);
 }
 
@@ -520,9 +478,11 @@ macro_rules! conformance_suite {
                 $crate::conformance::check_liveness_under_churn(FACTORY);
             }
 
+            // Named for the per-peer step reference it compares against
+            // (test names are stable across the suite's history).
             #[test]
             fn maintenance_step_matches_round() {
-                $crate::conformance::check_maintenance_step_matches_round(FACTORY);
+                $crate::conformance::check_maintenance_round_matches_per_peer_plans(FACTORY);
             }
 
             #[test]

@@ -170,43 +170,6 @@ impl KademliaOverlay {
             self.nodes[p].kbuckets = kbuckets;
         }
     }
-
-    /// Replaces the stale contact at `bucket[pos]` of `peer` with a fresh
-    /// online sample from the bucket's id range, or evicts it when none can
-    /// be found — Kademlia's bucket refresh, message-free by the paper's
-    /// piggybacking assumption.
-    fn refresh_entry(
-        &mut self,
-        peer: PeerId,
-        j: usize,
-        pos: usize,
-        live: &Liveness,
-        rng: &mut SmallRng,
-    ) {
-        let x = self.nodes[peer.idx()].id;
-        let mut replacement = None;
-        {
-            let range = self.bucket_range(x, j as u32);
-            let bucket = &self.nodes[peer.idx()].kbuckets[j];
-            for _ in 0..8 {
-                if range.is_empty() {
-                    break;
-                }
-                let (_, cand) = range[rng.random_range(0..range.len())];
-                if live.is_online(cand) && !bucket.contains(&cand) {
-                    replacement = Some(cand);
-                    break;
-                }
-            }
-        }
-        let bucket = &mut self.nodes[peer.idx()].kbuckets[j];
-        match replacement {
-            Some(fresh) => bucket[pos] = fresh,
-            None => {
-                bucket.swap_remove(pos);
-            }
-        }
-    }
 }
 
 impl Overlay for KademliaOverlay {
@@ -290,66 +253,7 @@ impl Overlay for KademliaOverlay {
         })
     }
 
-    fn maintenance_step(
-        &mut self,
-        peer: PeerId,
-        env: f64,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) {
-        // Probe each k-bucket entry with probability env; entries found
-        // stale are refreshed from the bucket's id range (free, per the
-        // paper's piggybacking assumption). Rejoined peers re-enter tables
-        // through the same refresh sampling.
-        if !live.is_online(peer) {
-            return;
-        }
-        let p = peer.idx();
-        for j in 0..self.nodes[p].kbuckets.len() {
-            let mut stale: Vec<PeerId> = Vec::new();
-            for &c in &self.nodes[p].kbuckets[j] {
-                if rng.random::<f64>() < env {
-                    metrics.record(MessageKind::Probe);
-                    if !live.is_online(c) {
-                        stale.push(c);
-                    }
-                }
-            }
-            for s in stale {
-                if let Some(pos) = self.nodes[p].kbuckets[j].iter().position(|&c| c == s) {
-                    self.refresh_entry(peer, j, pos, live, rng);
-                }
-            }
-            // A bucket drained to empty (every contact evicted while
-            // its whole id range was offline) has no entries left to
-            // probe, so the per-entry refresh above can never revive
-            // it; resample it directly once the range has an online
-            // peer again, or routing from this peer would dead-end on
-            // that prefix forever. Never triggers without churn: build
-            // leaves every non-empty-range bucket populated.
-            if self.nodes[p].kbuckets[j].is_empty() {
-                let x = self.nodes[p].id;
-                let mut revived = None;
-                let range = self.bucket_range(x, j as u32);
-                for _ in 0..8 {
-                    if range.is_empty() {
-                        break;
-                    }
-                    let (_, cand) = range[rng.random_range(0..range.len())];
-                    if live.is_online(cand) {
-                        revived = Some(cand);
-                        break;
-                    }
-                }
-                if let Some(fresh) = revived {
-                    self.nodes[p].kbuckets[j].push(fresh);
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors maintenance_step plus plan outputs
+    #[allow(clippy::too_many_arguments)] // the probe inputs plus plan outputs
     fn maintenance_plan(
         &self,
         peer: PeerId,
@@ -360,11 +264,14 @@ impl Overlay for KademliaOverlay {
         scratch: &mut PlanScratch,
         out: &mut Vec<Repair>,
     ) {
-        // Read-only mirror of `maintenance_step` — with one twist: refresh
-        // acceptance (`!bucket.contains(&cand)`) and the empty-bucket check
-        // read the bucket *mid-mutation*, so the plan replays each bucket's
-        // mutations in `scratch.buf` to keep the candidate draws
-        // draw-for-draw identical to the stepping path.
+        // Probe each k-bucket entry with probability env; entries found
+        // stale are refreshed from the bucket's id range (free, per the
+        // paper's piggybacking assumption), and rejoined peers re-enter
+        // tables through the same sampling. Refresh acceptance
+        // (`!bucket.contains(&cand)`) and the empty-bucket check read the
+        // bucket *mid-mutation*, so the plan replays each bucket's
+        // mutations in `scratch.buf` to keep the candidate draws identical
+        // to planning and applying one repair at a time.
         if !live.is_online(peer) {
             return;
         }
@@ -385,7 +292,8 @@ impl Overlay for KademliaOverlay {
             for si in 0..scratch.stale.len() {
                 let s = scratch.stale[si];
                 if let Some(pos) = scratch.buf.iter().position(|&c| c == s) {
-                    // Simulated `refresh_entry` against the scratch bucket.
+                    // Refresh against the scratch bucket: up to 8 draws
+                    // for an online contact not already in it, else evict.
                     let range = self.bucket_range(x, j as u32);
                     let mut replacement = None;
                     for _ in 0..8 {
@@ -407,6 +315,11 @@ impl Overlay for KademliaOverlay {
                     out.push(Repair::KadRefresh { peer, bucket: j as u32, stale: s, replacement });
                 }
             }
+            // A bucket drained to empty (every contact evicted while its
+            // whole id range was offline) has no entries left to probe, so
+            // the refresh above can never revive it; resample it directly
+            // once the range has an online peer again, or routing from this
+            // peer would dead-end on that prefix forever.
             if scratch.buf.is_empty() {
                 let mut revived = None;
                 let range = self.bucket_range(x, j as u32);

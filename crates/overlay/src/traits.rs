@@ -142,12 +142,16 @@ impl PlanScratch {
 /// * `is_responsible(p, key)` ⇔ `group_of_peer(p) == group_of_key(key)`
 ///   (routing terminates exactly when it reaches the key's group).
 ///
-/// `Send + Sync` is a supertrait: the shard-parallel engine routes lookups
-/// — and plans maintenance repairs — through a shared `&dyn Overlay` from
+/// `Send + Sync` is a supertrait: the engine's lanes route lookups — and
+/// plan maintenance repairs — through a shared `&dyn Overlay` from
 /// multiple worker threads (routing and [`Overlay::maintenance_plan`] take
 /// `&self`; mutation happens only at serial barriers, via
-/// [`Overlay::maintenance_apply`] or the single-shard
-/// [`Overlay::maintenance_step`] path).
+/// [`Overlay::maintenance_apply`]).
+///
+/// Routing-table maintenance is one API, plan then apply: a substrate
+/// implements [`Overlay::maintenance_plan`] and
+/// [`Overlay::maintenance_apply`], and gets the whole-overlay sweep
+/// [`Overlay::maintenance_round`] for free.
 pub trait Overlay: Send + Sync {
     /// Number of peers participating in the overlay (`numActivePeers`).
     fn num_active(&self) -> usize;
@@ -222,40 +226,23 @@ pub trait Overlay: Send + Sync {
         }
     }
 
-    /// One second of routing-table maintenance for a single peer: probes
-    /// each of `peer`'s routing entries with probability `env`, counting
-    /// probes; entries found stale are repaired in place (no extra
-    /// messages, per the paper's piggybacking assumption). Offline peers
-    /// are a no-op.
-    ///
-    /// This is the resumable unit event-driven engines schedule per peer
-    /// (one `PeerMaintenance` event each), decomposing the global sweep:
-    /// stepping peers `0..num_active` with one rng must equal one
-    /// [`Overlay::maintenance_round`] call with the same rng state (the
-    /// conformance kit enforces this).
-    fn maintenance_step(
-        &mut self,
-        peer: PeerId,
-        env: f64,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    );
-
-    /// The read-only half of [`Overlay::maintenance_step`]: probes `peer`'s
-    /// routing entries with probability `env`, drawing from `rng` in
-    /// **exactly** the order `maintenance_step` would, and records the
-    /// resulting table mutations into `out` instead of applying them.
+    /// One second of routing-table maintenance for a single peer, planned:
+    /// probes each of `peer`'s routing entries with probability `env`,
+    /// counting probes into `metrics`, and records the repairs of entries
+    /// found stale into `out` (no extra messages, per the paper's
+    /// piggybacking assumption) without applying them. Offline peers are a
+    /// no-op. This is the unit event-driven engines schedule per peer (one
+    /// `PeerMaintenance` event each).
     ///
     /// Contract (the conformance kit enforces it): planning peers
     /// `0..num_active` and then replaying every recorded repair with
     /// [`Overlay::maintenance_apply`] must leave the overlay — and the rng
-    /// and `metrics` — in the same state as stepping each peer in turn,
-    /// provided `live` is unchanged between plan and apply. This holds
-    /// because no peer's step reads another peer's *mutable* routing state;
-    /// it is what lets shard lanes plan their peers on worker threads and
-    /// apply at the serial pass barrier.
-    #[allow(clippy::too_many_arguments)] // mirrors maintenance_step plus plan outputs
+    /// and `metrics` — in the same state as planning and applying each
+    /// peer in turn, provided `live` is unchanged between plan and apply.
+    /// This holds because no peer's plan reads another peer's *mutable*
+    /// routing state; it is what lets lanes plan their peers on worker
+    /// threads and apply at the serial pass barrier.
+    #[allow(clippy::too_many_arguments)] // the probe inputs plus plan outputs
     fn maintenance_plan(
         &self,
         peer: PeerId,
@@ -274,8 +261,9 @@ pub trait Overlay: Send + Sync {
     /// substrate.
     fn maintenance_apply(&mut self, repairs: &[Repair], live: &Liveness);
 
-    /// One second of routing-table maintenance for every peer: the
-    /// per-peer [`Overlay::maintenance_step`] swept in peer order.
+    /// One second of routing-table maintenance for every peer: each peer's
+    /// [`Overlay::maintenance_plan`] applied before the next is planned,
+    /// swept in peer order.
     fn maintenance_round(
         &mut self,
         env: f64,
@@ -283,8 +271,13 @@ pub trait Overlay: Send + Sync {
         rng: &mut SmallRng,
         metrics: &mut Metrics,
     ) {
+        let mut scratch = PlanScratch::new();
+        let mut repairs = Vec::new();
         for p in 0..self.num_active() {
-            self.maintenance_step(PeerId::from_idx(p), env, live, rng, metrics);
+            let peer = PeerId::from_idx(p);
+            self.maintenance_plan(peer, env, live, rng, metrics, &mut scratch, &mut repairs);
+            self.maintenance_apply(&repairs, live);
+            repairs.clear();
         }
     }
 

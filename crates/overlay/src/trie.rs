@@ -176,17 +176,10 @@ impl TrieOverlay {
         }
     }
 
-    /// Replaces a stale reference of `peer` at `level` with a fresh sample
-    /// from the correct sibling subtree (message-free repair; the paper
-    /// assumes repair information piggybacks on regular traffic).
-    fn repair_ref(&mut self, peer: PeerId, level: u32, stale: PeerId, rng: &mut SmallRng) {
-        let replacement = self.sample_replacement(peer, level, rng);
-        self.apply_ref_repair(peer, level, stale, replacement);
-    }
-
-    /// The rng half of [`TrieOverlay::repair_ref`]: samples a sibling-leaf
-    /// replacement without touching the reference lists (draws depend only
-    /// on the immutable leaf partition, so plan and step draw identically).
+    /// Samples a replacement for a stale reference of `peer` at `level`
+    /// from the correct sibling subtree, without touching the reference
+    /// lists (draws depend only on the immutable leaf partition, so a plan
+    /// draws the same whether or not earlier repairs were applied).
     fn sample_replacement(&self, peer: PeerId, level: u32, rng: &mut SmallRng) -> Option<PeerId> {
         let num_leaves = self.leaves.len();
         let my_leaf = self.leaf_of_peer(peer);
@@ -199,7 +192,10 @@ impl TrieOverlay {
         self.leaves[leaf].as_slice().choose(rng).copied()
     }
 
-    /// The mutation half of [`TrieOverlay::repair_ref`].
+    /// Replaces `stale` in `peer`'s level-`level` references with
+    /// `replacement` (message-free repair; the paper assumes repair
+    /// information piggybacks on regular traffic). `None`, or an
+    /// already-present pick, evicts the stale reference instead.
     fn apply_ref_repair(
         &mut self,
         peer: PeerId,
@@ -293,37 +289,7 @@ impl Overlay for TrieOverlay {
         })
     }
 
-    fn maintenance_step(
-        &mut self,
-        peer: PeerId,
-        env: f64,
-        live: &Liveness,
-        rng: &mut SmallRng,
-        metrics: &mut Metrics,
-    ) {
-        if !live.is_online(peer) {
-            return;
-        }
-        let p = peer.idx();
-        for level in 0..self.depth {
-            // Collect stale entries found by probing; repair after the
-            // immutable walk.
-            let mut stale: Vec<PeerId> = Vec::new();
-            for &r in &self.refs[p][level as usize] {
-                if rng.random::<f64>() < env {
-                    metrics.record(MessageKind::Probe);
-                    if !live.is_online(r) {
-                        stale.push(r);
-                    }
-                }
-            }
-            for s in stale {
-                self.repair_ref(peer, level, s, rng);
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // mirrors maintenance_step plus plan outputs
+    #[allow(clippy::too_many_arguments)] // the probe inputs plus plan outputs
     fn maintenance_plan(
         &self,
         peer: PeerId,
@@ -334,10 +300,11 @@ impl Overlay for TrieOverlay {
         scratch: &mut PlanScratch,
         out: &mut Vec<Repair>,
     ) {
-        // Read-only mirror of `maintenance_step`: the probe sweep and the
-        // replacement sampling read only the immutable leaf partition and
-        // this peer's own pre-step references, so recording repairs and
-        // replaying them later is draw-for-draw identical.
+        // Probe each reference with probability env; a stale one is
+        // replaced by a fresh sample from the correct sibling subtree. The
+        // probe sweep and the replacement sampling read only the immutable
+        // leaf partition and this peer's own references, so recording
+        // repairs and replaying them later is draw-for-draw identical.
         if !live.is_online(peer) {
             return;
         }

@@ -24,10 +24,8 @@
 //!
 //! * [`ShardPool`] keeps **persistent parked workers** — OS threads are
 //!   spawned once per `set_threads` configuration, woken by a condvar per
-//!   pass, and claim task chunks off a shared atomic cursor. The previous
-//!   design (kept as [`RespawnPool`] so the difference stays measurable in
-//!   `bench event_dispatch`) re-spawned scoped threads through a mutexed
-//!   iterator every pass of every round.
+//!   pass, and claim task chunks off a shared atomic cursor, instead of
+//!   re-spawning scoped threads every pass of every round.
 //! * [`MergeBuffers`] makes the barrier **allocation-free across passes**:
 //!   the caller owns the per-destination batches and merge scratch, and
 //!   because every producer pushes to a given destination in nondecreasing
@@ -319,55 +317,6 @@ impl ShardPool {
 impl Drop for ShardPool {
     fn drop(&mut self) {
         self.shutdown_workers();
-    }
-}
-
-/// The pre-persistent-pool executor: scoped threads re-spawned every pass,
-/// claiming tasks one at a time through a mutexed iterator. Kept as the
-/// measured baseline of the `event_dispatch` persistent-vs-respawn bench
-/// axis — not used by the engine.
-pub struct RespawnPool {
-    threads: usize,
-}
-
-impl RespawnPool {
-    /// A pool that dispatches on up to `threads` scoped threads per pass
-    /// (`0` is treated as `1`).
-    pub fn new(threads: usize) -> RespawnPool {
-        RespawnPool { threads: threads.max(1) }
-    }
-
-    /// Runs `f(index, task)` exactly once for every task on freshly
-    /// spawned scoped threads (joined before returning, so panics from `f`
-    /// propagate).
-    pub fn run<T, F>(&self, tasks: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let workers = self.threads.min(tasks.len());
-        if workers <= 1 {
-            for (i, task) in tasks.iter_mut().enumerate() {
-                f(i, task);
-            }
-            return;
-        }
-        let queue = Mutex::new(tasks.iter_mut().enumerate());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Claim under the lock, run outside it. The expect
-                    // guards lock poisoning: it can only fire if another
-                    // worker panicked *while claiming* (panics inside `f`
-                    // happen outside the critical section).
-                    let claimed = queue.lock().expect("shard pool work queue poisoned").next();
-                    match claimed {
-                        Some((i, task)) => f(i, task),
-                        None => break,
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -690,19 +639,6 @@ mod tests {
         let mut tasks = vec![0u64; 8];
         pool.run(&mut tasks, |i, slot| *slot = i as u64);
         assert_eq!(tasks, (0..8).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn respawn_pool_runs_every_task_exactly_once() {
-        for threads in [1, 4] {
-            let pool = RespawnPool::new(threads);
-            let mut tasks: Vec<u64> = vec![0; 13];
-            pool.run(&mut tasks, |i, slot| {
-                *slot += i as u64 + 1;
-            });
-            let expected: Vec<u64> = (1..=13).collect();
-            assert_eq!(tasks, expected, "threads={threads}");
-        }
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! | [`types`] | `crates/types` | ids, keys, message taxonomy, liveness, RNG streams |
 //! | [`zipf`] | `crates/zipf` | Zipf pmf/cdf, per-round probabilities, popularity shift |
 //! | [`model`] | `crates/model` | the analytical cost model and figure sweeps |
-//! | [`sim`] | `crates/sim` | deterministic event queue, latency models, round driver, metrics |
-//! | [`overlay`] | `crates/overlay` | the [`overlay::Overlay`] trait, trie + Chord + Kademlia DHTs, churn, conformance kit |
+//! | [`sim`] | `crates/sim` | deterministic event queue, latency models, round driver, metrics, shard pool + outbox barriers |
+//! | [`overlay`] | `crates/overlay` | the [`overlay::Overlay`] trait (routing + plan/apply maintenance), trie + Chord + Kademlia DHTs, churn, conformance kit |
 //! | [`unstructured`] | `crates/unstructured` | random graphs, flooding, k-random-walks |
 //! | [`gossip`] | `crates/gossip` | replica groups, push/pull rumor spreading |
 //! | [`workload`] | `crates/workload` | news metadata, key catalogs, query/update streams |
-//! | [`core`] | `crates/core` | partial index, TTL policies, the event-driven network engine |
+//! | [`core`] | `crates/core` | partial index, TTL policies, the event-driven network engine (one engine: `shards` lanes, one by default) |
 //!
 //! Two pieces sit outside the facade: `crates/bench` (experiment binaries
 //! and criterion micro-benchmarks) and `shims/` (offline stand-ins for
@@ -31,7 +31,9 @@
 //! down*: round phases, the individual hops of in-flight queries, and the
 //! per-peer background work — each peer's routing-table maintenance tick,
 //! TTL eviction sweep, and the waves of in-flight update propagations —
-//! are events on [`sim::EventQueue`], with per-hop delays drawn from a
+//! are events on [`sim::EventQueue`]s (phase markers on a global queue,
+//! everything else on the queue of the execution lane that owns it, one
+//! lane per [`core::PdhtConfig::shards`]), with per-hop delays drawn from a
 //! pluggable [`sim::LatencyModel`] ([`core::LatencyConfig`]; `Zero` plus
 //! the default [`core::BackgroundSchedule`] reproduces the paper's
 //! whole-round semantics bit-for-bit, non-zero models surface p50/p95/p99
@@ -46,9 +48,9 @@
 //! Every substrate — current and future — passes the shared
 //! [`overlay::conformance`] suite, which property-checks the
 //! [`overlay::Overlay`] contract (partition invariants, hop accounting,
-//! `lookup` ≡ stepped `next_hop`, `maintenance_round` ≡ per-peer
-//! `maintenance_step`, determinism, churn liveness) from a single test
-//! body per invariant.
+//! `lookup` ≡ stepped `next_hop`, batched maintenance plans ≡ per-peer
+//! plan-then-apply, determinism, churn liveness) from a single test body
+//! per invariant.
 //!
 //! # Example
 //!
